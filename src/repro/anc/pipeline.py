@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.anc.alignment import align_known_frame
 from repro.anc.decoder import DecodeDiagnostics, DecoderConfig, InterferenceDecoder
+from repro.coding.crc import check_and_strip_crc
 from repro.exceptions import (
     DecodingError,
     HeaderError,
@@ -338,8 +339,6 @@ class ReceivePipeline:
             # decoded out of the clean region so the payload is not lost.
             payload_region, _ = self.deframer.extract_payload_region(bits)
             descrambled = self.deframer.scrambler.descramble(payload_region)
-            from repro.coding.crc import check_and_strip_crc
-
             payload, crc_ok = check_and_strip_crc(descrambled)
             packet = Packet(
                 source=unknown_header.source,

@@ -34,23 +34,45 @@ class CRCSpec:
 
 
 class _BitwiseCRC:
-    """Straightforward bitwise CRC engine (MSB-first, no reflection)."""
+    """MSB-first, non-reflected CRC engine over bit arrays.
+
+    Whole bytes go through a 256-entry table, one lookup per byte; only
+    the final ``len % 8`` bits are shifted in one at a time.  The register
+    is kept left-aligned to at least 8 bits so the same table step serves
+    widths below 8.
+    """
 
     def __init__(self, spec: CRCSpec) -> None:
         self.spec = spec
-        self._top_bit = 1 << (spec.width - 1)
         self._mask = (1 << spec.width) - 1
+        self._align = max(8 - spec.width, 0)
+        width = spec.width + self._align
+        self._aligned_mask = (1 << width) - 1
+        self._aligned_poly = (spec.polynomial & self._mask) << self._align
+        self._top_shift = width - 1
+        self._byte_shift = width - 8
+        self._table = [self._shift_in(byte << self._byte_shift, 0, 8) for byte in range(256)]
+
+    def _shift_in(self, register: int, value: int, count: int) -> int:
+        """Shift the ``count`` bits of ``value`` (MSB first) into the aligned register."""
+        for i in range(count - 1, -1, -1):
+            incoming = ((value >> i) & 1) ^ (register >> self._top_shift)
+            register = (register << 1) & self._aligned_mask
+            if incoming:
+                register ^= self._aligned_poly
+        return register
 
     def compute(self, bits) -> int:
         """CRC register value after shifting in all data bits."""
         data = as_bit_array(bits)
-        register = self.spec.initial & self._mask
-        for bit in data:
-            incoming = int(bit) ^ ((register >> (self.spec.width - 1)) & 1)
-            register = (register << 1) & self._mask
-            if incoming:
-                register ^= self.spec.polynomial & self._mask
-        return register
+        whole = data.size - data.size % 8
+        register = (self.spec.initial & self._mask) << self._align
+        table, mask, shift = self._table, self._aligned_mask, self._byte_shift
+        for byte in np.packbits(data[:whole]).tolist():
+            register = ((register << 8) & mask) ^ table[(register >> shift) ^ byte]
+        for bit in data[whole:].tolist():
+            register = self._shift_in(register, bit, 1)
+        return register >> self._align
 
     def compute_bits(self, bits) -> np.ndarray:
         """CRC value rendered as a bit array of the CRC's width."""
@@ -81,7 +103,8 @@ class _BitwiseCRC:
 #: CRC-16/CCITT-FALSE: polynomial 0x1021, initial value 0xFFFF.
 CRC16 = _BitwiseCRC(CRCSpec(width=16, polynomial=0x1021, initial=0xFFFF, name="CRC-16/CCITT"))
 
-#: CRC-32 (IEEE 802.3 polynomial, non-reflected variant used only internally).
+#: CRC-32/MPEG-2: polynomial 0x04C11DB7, not reflected, initial value
+#: 0xFFFFFFFF, no final XOR.
 CRC32 = _BitwiseCRC(CRCSpec(width=32, polynomial=0x04C11DB7, initial=0xFFFFFFFF, name="CRC-32"))
 
 

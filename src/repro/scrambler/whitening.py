@@ -21,8 +21,8 @@ class Scrambler:
     Parameters
     ----------
     seed:
-        LFSR seed shared by every node in the network.  The PN sequence is
-        regenerated from the seed for every call, so the scrambler is
+        LFSR seed shared by every node in the network.  Every call XORs
+        with the PN sequence from the seed's start, so the scrambler is
         stateless across packets and the n-th payload bit is always XORed
         with the n-th PN bit regardless of what was scrambled before.
     """
@@ -38,7 +38,7 @@ class Scrambler:
         clean = ensure_bit_array(bits, "bits")
         if clean.size == 0:
             return clean
-        return np.bitwise_xor(clean, self._pn(clean.size)).astype(np.uint8)
+        return np.bitwise_xor(clean, self._pn(clean.size))
 
     def descramble(self, bits) -> np.ndarray:
         """Undo :meth:`scramble`; identical operation because XOR is an involution."""

@@ -9,11 +9,13 @@ framing, coding and evaluation layers need.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import ensure_bit_array
 
 BitsLike = Union[Iterable[int], np.ndarray, str]
 
@@ -22,13 +24,7 @@ def as_bit_array(bits: BitsLike) -> np.ndarray:
     """Coerce an iterable / string of 0s and 1s into the canonical bit array."""
     if isinstance(bits, str):
         return string_to_bits(bits)
-    arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
-    arr = arr.astype(np.uint8)
-    if arr.ndim != 1:
-        raise ConfigurationError("bit arrays must be one-dimensional")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise ConfigurationError("bit arrays may only contain 0s and 1s")
-    return arr
+    return ensure_bit_array(bits, "bit arrays")
 
 
 def string_to_bits(text: str) -> np.ndarray:
@@ -52,15 +48,16 @@ def bits_from_int(value: int, width: int) -> np.ndarray:
         raise ConfigurationError("only unsigned integers can be encoded")
     if value >= (1 << width):
         raise ConfigurationError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+    octets = np.frombuffer(operator.index(value).to_bytes((width + 7) // 8, "big"), dtype=np.uint8)
+    return np.unpackbits(octets)[-width:]
 
 
 def bits_to_int(bits: BitsLike) -> int:
     """Decode a most-significant-first bit array into an unsigned integer."""
     arr = as_bit_array(bits)
     value = 0
-    for bit in arr:
-        value = (value << 1) | int(bit)
+    for bit in arr.tolist():
+        value = (value << 1) | bit
     return value
 
 

@@ -8,12 +8,17 @@ Two parts of the paper rely on pseudo-random bit sequences:
   so the "random bit pattern" assumption behind the amplitude estimator
   (``E[cos(theta - phi)] = 0``) holds even for structured payloads.
 
-Both are served by a maximal-length LFSR implemented here.
+Both are served by a maximal-length LFSR implemented here.  A generator's
+output is a pure function of its seed, taps and width, so each distinct
+generator's output stream is computed once, kept in a small bounded memo
+and served as slices: whitening a payload or regenerating the pilot costs
+one array copy rather than one Python-level register step per bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +30,73 @@ from repro.exceptions import ConfigurationError
 #: convention — period 65535 bits.
 DEFAULT_TAPS = (1, 3, 4, 6)
 DEFAULT_REGISTER_BITS = 16
+
+#: Most output streams kept in memory at once, one per distinct
+#: ``(seed, taps, register_bits)``.  The least recently used one is dropped
+#: beyond this and recomputed if it is asked for again.
+STREAM_CACHE_SIZE = 32
+
+_StreamKey = Tuple[int, Tuple[int, ...], int]
+_streams: Dict[_StreamKey, np.ndarray] = {}
+_streams_lock = threading.Lock()
+
+
+def _mulmod(a: int, b: int, poly: int, width: int) -> int:
+    """``a * b`` modulo ``poly`` (degree ``width``) over GF(2); ``a`` is reduced."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if (a >> width) & 1:
+            a ^= poly
+    return product
+
+
+def _extend(stream: np.ndarray, taps: Tuple[int, ...], width: int) -> np.ndarray:
+    """Return ``stream`` grown to ``2 * len(stream) - width + 1`` output bits.
+
+    The register bit ``i`` at step ``t`` is output bit ``s[t + i]``, so the
+    feedback rule reads ``s[t + width] = XOR over taps of s[t + tap - 1]``:
+    the characteristic polynomial is ``P(x) = x^width + sum x^(tap - 1)``.
+    With ``x^d mod P = sum c_j x^j`` it follows that ``s[n + d]`` is the XOR
+    of the ``s[n + j]`` with ``c_j = 1``.  Taking ``d = len(stream)`` turns
+    every known window of ``width`` bits into one new bit, all at once.
+    """
+    poly = 1 << width
+    for tap in taps:
+        poly |= 1 << (tap - 1)
+    size = stream.size
+    coeffs, base, exponent = 1, _mulmod(1, 2, poly, width), size
+    while exponent:
+        if exponent & 1:
+            coeffs = _mulmod(coeffs, base, poly, width)
+        base = _mulmod(base, base, poly, width)
+        exponent >>= 1
+    span = size - width + 1
+    block = np.zeros(span, dtype=np.uint8)
+    for j in range(width):
+        if (coeffs >> j) & 1:
+            block ^= stream[j : j + span]
+    grown = np.concatenate([stream, block])
+    grown.flags.writeable = False
+    return grown
+
+
+def _stream(key: _StreamKey, length: int) -> np.ndarray:
+    """The first ``length`` (or more) output bits of the generator ``key`` names."""
+    state, taps, width = key
+    with _streams_lock:
+        stream = _streams.pop(key, None)
+        if stream is None:
+            stream = np.array([(state >> i) & 1 for i in range(width)], dtype=np.uint8)
+        while stream.size < length:
+            stream = _extend(stream, taps, width)
+        if len(_streams) >= STREAM_CACHE_SIZE:
+            del _streams[next(iter(_streams))]
+        _streams[key] = stream
+        return stream
 
 
 class PNSequence:
@@ -64,6 +136,8 @@ class PNSequence:
         self._taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
         self._initial_state = state
         self._state = state
+        self._position = 0
+        self._key: _StreamKey = (state, self._taps, register_bits)
 
     @property
     def state(self) -> int:
@@ -73,6 +147,7 @@ class PNSequence:
     def reset(self) -> None:
         """Restore the register to its seed state."""
         self._state = self._initial_state
+        self._position = 0
 
     def next_bit(self) -> int:
         """Advance the register one step and return the output bit."""
@@ -81,13 +156,21 @@ class PNSequence:
             feedback ^= (self._state >> (tap - 1)) & 1
         output = self._state & 1
         self._state = ((self._state >> 1) | (feedback << (self._register_bits - 1))) & self._mask
+        self._position += 1
         return output
 
     def bits(self, length: int) -> np.ndarray:
         """Generate the next ``length`` bits as a canonical bit array."""
         if length < 0:
             raise ConfigurationError("length must be non-negative")
-        return np.array([self.next_bit() for _ in range(length)], dtype=np.uint8)
+        start = self._position
+        end = start + length
+        stream = _stream(self._key, end + self._register_bits)
+        # Register bit i is the output i steps ahead.
+        window = stream[end : end + self._register_bits]
+        self._state = int.from_bytes(np.packbits(window, bitorder="little").tobytes(), "little")
+        self._position = end
+        return stream[start:end].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

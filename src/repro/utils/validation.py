@@ -68,13 +68,29 @@ def ensure_non_negative_int(value: int, name: str) -> int:
     return int(value)
 
 
+def _require_bit_values(arr: np.ndarray, name: str) -> None:
+    """Reject any element other than 0 or 1, checked before any cast."""
+    if not arr.size:
+        return
+    if arr.dtype == np.uint8:
+        ok = arr.max() <= 1
+    else:
+        ok = np.all((arr == 0) | (arr == 1))
+    if not ok:
+        raise ConfigurationError(f"{name} may only contain 0s and 1s")
+
+
 def ensure_bit_array(bits: Union[Iterable[int], np.ndarray], name: str = "bits") -> np.ndarray:
-    """Require an iterable of 0/1 values and return the canonical bit array."""
-    arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
+    """Require an iterable of 0/1 values and return the canonical bit array.
+
+    The values are checked on the input's own dtype, so ``256`` or ``0.7``
+    is rejected rather than wrapped or truncated to a bit by the cast.  The
+    result is always a new ``uint8`` array, never a view of the input.
+    """
+    arr = bits if isinstance(bits, np.ndarray) else np.asarray(list(bits))
     if arr.ndim != 1:
         raise ConfigurationError(f"{name} must be one-dimensional")
-    if arr.size and not np.all(np.isin(arr, (0, 1))):
-        raise ConfigurationError(f"{name} may only contain 0s and 1s")
+    _require_bit_values(arr, name)
     return arr.astype(np.uint8)
 
 
@@ -89,8 +105,7 @@ def ensure_bit_matrix(bits, name: str = "bits") -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2D (n_trials, n_bits) array")
-    if arr.size and not np.all(np.isin(arr, (0, 1))):
-        raise ConfigurationError(f"{name} may only contain 0s and 1s")
+    _require_bit_values(arr, name)
     return arr.astype(np.uint8)
 
 

@@ -5,10 +5,17 @@ import pytest
 
 from repro.coding.crc import CRC16, CRC32, append_crc, check_and_strip_crc
 from repro.exceptions import CRCError
-from repro.utils.bits import random_bits
+from repro.utils.bits import bits_from_bytes, random_bits
+
+#: The standard CRC check input.
+CHECK_BITS = bits_from_bytes(b"123456789")
 
 
 class TestCRC16:
+    def test_known_answer(self):
+        # CRC-16/CCITT-FALSE check value.
+        assert CRC16.compute(CHECK_BITS) == 0x29B1
+
     def test_append_and_verify(self):
         data = random_bits(120, np.random.default_rng(0))
         coded = CRC16.append(data)
@@ -55,6 +62,10 @@ class TestCRC16:
 
 
 class TestCRC32:
+    def test_known_answer(self):
+        # CRC-32/MPEG-2 check value.
+        assert CRC32.compute(CHECK_BITS) == 0x0376E6E7
+
     def test_roundtrip(self):
         data = random_bits(256, np.random.default_rng(7))
         assert CRC32.verify(CRC32.append(data))

@@ -57,8 +57,11 @@ class TestConversion:
         assert bits_to_bytes([]) == b""
 
     def test_as_bit_array_rejects_twos(self):
-        with pytest.raises(ConfigurationError):
-            as_bit_array([0, 1, 2])
+        # Values are checked before the uint8 cast, which would wrap 256 to
+        # 0 and truncate 0.7 to 0.
+        for bad in ([0, 1, 2], [0, 256, 1], [257], [0.7, 1, 0], [-1, 0]):
+            with pytest.raises(ConfigurationError):
+                as_bit_array(bad)
 
     def test_as_bit_array_accepts_string(self):
         assert np.array_equal(as_bit_array("0110"), [0, 1, 1, 0])
