@@ -37,65 +37,38 @@ DEFAULT_REGISTER_BITS = 16
 STREAM_CACHE_SIZE = 32
 
 _StreamKey = Tuple[int, Tuple[int, ...], int]
-_streams: Dict[_StreamKey, np.ndarray] = {}
+#: Per key: the output bits computed so far and the register state after them.
+_streams: Dict[_StreamKey, Tuple[np.ndarray, int]] = {}
 _streams_lock = threading.Lock()
 
 
-def _mulmod(a: int, b: int, poly: int, width: int) -> int:
-    """``a * b`` modulo ``poly`` (degree ``width``) over GF(2); ``a`` is reduced."""
-    product = 0
-    while b:
-        if b & 1:
-            product ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> width) & 1:
-            a ^= poly
-    return product
-
-
-def _extend(stream: np.ndarray, taps: Tuple[int, ...], width: int) -> np.ndarray:
-    """Return ``stream`` grown to ``2 * len(stream) - width + 1`` output bits.
-
-    The register bit ``i`` at step ``t`` is output bit ``s[t + i]``, so the
-    feedback rule reads ``s[t + width] = XOR over taps of s[t + tap - 1]``:
-    the characteristic polynomial is ``P(x) = x^width + sum x^(tap - 1)``.
-    With ``x^d mod P = sum c_j x^j`` it follows that ``s[n + d]`` is the XOR
-    of the ``s[n + j]`` with ``c_j = 1``.  Taking ``d = len(stream)`` turns
-    every known window of ``width`` bits into one new bit, all at once.
-    """
-    poly = 1 << width
+def _step(state: int, taps: Tuple[int, ...], width: int) -> Tuple[int, int]:
+    """One register step: the output bit and the next state."""
+    feedback = 0
     for tap in taps:
-        poly |= 1 << (tap - 1)
-    size = stream.size
-    coeffs, base, exponent = 1, _mulmod(1, 2, poly, width), size
-    while exponent:
-        if exponent & 1:
-            coeffs = _mulmod(coeffs, base, poly, width)
-        base = _mulmod(base, base, poly, width)
-        exponent >>= 1
-    span = size - width + 1
-    block = np.zeros(span, dtype=np.uint8)
-    for j in range(width):
-        if (coeffs >> j) & 1:
-            block ^= stream[j : j + span]
-    grown = np.concatenate([stream, block])
-    grown.flags.writeable = False
-    return grown
+        feedback ^= (state >> (tap - 1)) & 1
+    return state & 1, (state >> 1) | (feedback << (width - 1))
 
 
 def _stream(key: _StreamKey, length: int) -> np.ndarray:
-    """The first ``length`` (or more) output bits of the generator ``key`` names."""
-    state, taps, width = key
+    """The first ``length`` (or more) output bits of the generator ``key`` names.
+
+    A short stream is extended bit-serially to at least twice its length,
+    so a generator read in ever longer pieces is stepped O(total) times.
+    """
+    seed, taps, width = key
     with _streams_lock:
-        stream = _streams.pop(key, None)
-        if stream is None:
-            stream = np.array([(state >> i) & 1 for i in range(width)], dtype=np.uint8)
-        while stream.size < length:
-            stream = _extend(stream, taps, width)
+        stream, state = _streams.pop(key, (np.zeros(0, dtype=np.uint8), seed))
+        if stream.size < length:
+            extra = []
+            for _ in range(max(length, 2 * stream.size) - stream.size):
+                bit, state = _step(state, taps, width)
+                extra.append(bit)
+            stream = np.concatenate([stream, np.array(extra, dtype=np.uint8)])
+            stream.flags.writeable = False
         if len(_streams) >= STREAM_CACHE_SIZE:
             del _streams[next(iter(_streams))]
-        _streams[key] = stream
+        _streams[key] = (stream, state)
         return stream
 
 
@@ -132,7 +105,6 @@ class PNSequence:
         if max(taps) > register_bits:
             raise ConfigurationError("tap positions cannot exceed the register width")
         self._register_bits = register_bits
-        self._mask = mask
         self._taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
         self._initial_state = state
         self._state = state
@@ -151,11 +123,7 @@ class PNSequence:
 
     def next_bit(self) -> int:
         """Advance the register one step and return the output bit."""
-        feedback = 0
-        for tap in self._taps:
-            feedback ^= (self._state >> (tap - 1)) & 1
-        output = self._state & 1
-        self._state = ((self._state >> 1) | (feedback << (self._register_bits - 1))) & self._mask
+        output, self._state = _step(self._state, self._taps, self._register_bits)
         self._position += 1
         return output
 
