@@ -2,14 +2,20 @@
 
 Two claims are asserted:
 
-* the batched interference decoder sustains **>= 4x** the scalar
+* the batched interference decoder sustains **>= 1.5x** the scalar
   decoder's throughput at ``batch_size=64`` — a deliberately safe floor
-  below the ~5x this hardware records, because a pass/fail bar a few
+  below the ~2x this hardware records, because a pass/fail bar a few
   percent under the recorded value flakes on loaded CI runners.
   *Trajectory* enforcement (catching a real regression from one PR to
   the next) belongs to ``tools/check_bench_regression.py``, which
   compares ``BENCH_phy.json`` against the committed baseline with a 30 %
-  tolerance;
+  tolerance.  The floor was 4x against a recorded ~5x until the scalar
+  decoder's interval partition was vectorised: the scalar path (the
+  ratio's denominator) fell from a median of 976 to 376 us/trial while
+  the batched path held (214 to 196 us/trial), over ten perf-gate runs
+  alternating with the previous code on a 2-CPU VM, so the ratio fell
+  from a median of 5.28 to 2.03 (range 1.68-2.20) without any batched
+  slowdown;
 * batching is not a numerical fork: the decoded bits are asserted
   bit-identical to the scalar path right inside the benchmark, so the
   timing can never drift away from the thing the differential suite
@@ -50,9 +56,10 @@ from repro.signal.batch import SignalBatch
 from repro.signal.samples import ComplexSignal
 
 #: The regression floor: batched decode throughput over scalar at batch
-#: 64.  Kept well below the recorded ~5x so load noise cannot flake it;
-#: check_bench_regression.py owns the tight trajectory comparison.
-REQUIRED_DECODER_SPEEDUP = 4.0
+#: 64.  Kept well below the recorded ~2x (median 2.03, lowest of ten runs
+#: 1.68) so load noise cannot flake it; check_bench_regression.py owns
+#: the tight trajectory comparison.
+REQUIRED_DECODER_SPEEDUP = 1.5
 
 #: The optional-deps acceptance bar: JIT decode over batched numpy decode
 #: when numba is really installed (enforced only under
@@ -108,7 +115,7 @@ def collision_batch():
 
 
 def test_batch_decoder_speedup_and_trajectory(collision_batch):
-    """decode_batch >= 5x scalar decode at batch 64, and emit BENCH_phy.json."""
+    """decode_batch beats scalar decode by the floor at batch 64; emit BENCH_phy.json."""
     decoder = InterferenceDecoder()
     setup = collision_batch
 

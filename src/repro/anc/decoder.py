@@ -106,6 +106,25 @@ class DecodeDiagnostics:
     reversed_decode: bool = False
 
 
+def _interval_runs(
+    known_offset: int, known_end: int, unknown_offset: int, unknown_n_bits: int
+) -> List[Tuple[int, int, bool]]:
+    """Maximal runs ``(i, j, interfered)`` of the unknown frame's bit intervals.
+
+    Bit interval ``i`` spans samples ``n = unknown_offset + i`` and
+    ``n + 1``; it is *interfered* when both samples lie inside the known
+    frame's ``[known_offset, known_end)`` and *clean* otherwise.  The runs
+    cover ``[0, unknown_n_bits)`` in order and depend on the geometry
+    alone, never on the samples.
+    """
+    n = unknown_offset + np.arange(unknown_n_bits)
+    interfered = (n >= known_offset) & (n + 1 < known_end)
+    edges = np.flatnonzero(np.diff(interfered)) + 1
+    starts = [0, *edges.tolist()]
+    ends = [*edges.tolist(), unknown_n_bits]
+    return [(i, j, bool(interfered[i])) for i, j in zip(starts, ends)]
+
+
 class InterferenceDecoder:
     """Decode the unknown half of a two-packet collision.
 
@@ -308,26 +327,14 @@ class InterferenceDecoder:
         bits = np.zeros(unknown_n_bits, dtype=np.uint8)
         match_errors = []
 
-        def known_active(sample_index: int) -> bool:
-            return known_offset <= sample_index < known_end
-
-        # Partition the unknown bit indices into maximal runs of
-        # "interfered" (both samples of the interval overlap the known
-        # frame) and "clean" intervals, and decode each run in one shot.
-        interval_interfered = np.zeros(unknown_n_bits, dtype=bool)
-        for i in range(unknown_n_bits):
-            n = unknown_offset + i
-            interval_interfered[i] = known_active(n) and known_active(n + 1)
-
-        i = 0
-        while i < unknown_n_bits:
-            j = i
-            while j < unknown_n_bits and interval_interfered[j] == interval_interfered[i]:
-                j += 1
+        # Decode each maximal interfered or clean run in one shot.
+        for i, j, interfered in _interval_runs(
+            known_offset, known_end, unknown_offset, unknown_n_bits
+        ):
             first_sample = unknown_offset + i
             last_sample = unknown_offset + j  # inclusive end sample of the run
             block = samples[first_sample : last_sample + 1]
-            if interval_interfered[i]:
+            if interfered:
                 known_indices = np.arange(first_sample, last_sample) - known_offset
                 known_diffs = known_diffs_full[known_indices]
                 solutions = phase_solutions(block, amplitude_a, amplitude_b)
@@ -339,7 +346,6 @@ class InterferenceDecoder:
                 ratio = block[1:] * np.conj(block[:-1])
                 bits[i:j] = (np.angle(ratio) >= 0).astype(np.uint8)
                 diagnostics.clean_bits += j - i
-            i = j
 
         if match_errors:
             diagnostics.mean_match_error = float(np.mean(np.concatenate(match_errors)))
@@ -429,23 +435,13 @@ class InterferenceDecoder:
 
         # Same maximal-run partition as the scalar path; it depends only
         # on the (shared) geometry, never on the per-trial samples.
-        interval_indices = unknown_offset + np.arange(unknown_n_bits)
-        interval_interfered = (
-            (interval_indices >= known_offset)
-            & (interval_indices + 1 >= known_offset)
-            & (interval_indices < known_end)
-            & (interval_indices + 1 < known_end)
-        )
-
-        i = 0
-        while i < unknown_n_bits:
-            j = i
-            while j < unknown_n_bits and interval_interfered[j] == interval_interfered[i]:
-                j += 1
+        for i, j, interfered in _interval_runs(
+            known_offset, known_end, unknown_offset, unknown_n_bits
+        ):
             first_sample = unknown_offset + i
             last_sample = unknown_offset + j  # inclusive end sample of the run
             block = samples[:, first_sample : last_sample + 1]
-            if interval_interfered[i]:
+            if interfered:
                 known_indices = np.arange(first_sample, last_sample) - known_offset
                 known_diffs = known_diffs_full[:, known_indices]
                 solutions = backend.phase_solutions(block, amplitudes_a, amplitudes_b)
@@ -458,7 +454,6 @@ class InterferenceDecoder:
                 bits[:, i:j] = backend.differential_bits(block)
                 for diagnostic in diagnostics:
                     diagnostic.clean_bits += j - i
-            i = j
 
         if match_errors:
             # Same concatenate-then-mean the scalar path performs per trial.

@@ -16,6 +16,10 @@ ArrayLike = Union[float, np.ndarray]
 
 TWO_PI = 2.0 * np.pi
 
+#: How close to ``-pi`` a wrapped angle must be to become ``+pi``: the
+#: ``atol + rtol * |-pi|`` that ``np.isclose(wrapped, -np.pi)`` applies.
+_MINUS_PI_TOLERANCE = 1e-08 + 1e-05 * np.pi
+
 
 def wrap_angle(angle: ArrayLike) -> ArrayLike:
     """Wrap an angle (radians) into the interval ``(-pi, pi]``.
@@ -33,7 +37,7 @@ def wrap_angle(angle: ArrayLike) -> ArrayLike:
     wrapped = np.mod(np.asarray(angle, dtype=float) + np.pi, TWO_PI) - np.pi
     # np.mod maps exact multiples of 2*pi to -pi; keep +pi as the principal
     # representative so that wrap_angle(pi) == pi.
-    wrapped = np.where(np.isclose(wrapped, -np.pi), np.pi, wrapped)
+    wrapped = np.where(np.abs(wrapped - -np.pi) <= _MINUS_PI_TOLERANCE, np.pi, wrapped)
     if np.isscalar(angle) or np.ndim(angle) == 0:
         return float(wrapped)
     return wrapped

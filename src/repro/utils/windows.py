@@ -29,7 +29,7 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """
     arr = np.asarray(values, dtype=float)
     _validate_window(window, arr.size)
-    cumulative = np.cumsum(np.insert(arr, 0, 0.0))
+    cumulative = np.cumsum(np.concatenate(([0.0], arr.ravel())))
     idx = np.arange(1, arr.size + 1)
     start = np.maximum(idx - window, 0)
     counts = idx - start
@@ -52,14 +52,3 @@ def moving_variance(values: np.ndarray, window: int) -> np.ndarray:
     variance = mean_sq - mean ** 2
     # Numerical noise can push the variance a hair below zero.
     return np.maximum(variance, 0.0)
-
-
-def block_mean(values: np.ndarray, block: int) -> np.ndarray:
-    """Mean of consecutive non-overlapping blocks (trailing partial block kept)."""
-    arr = np.asarray(values, dtype=float)
-    _validate_window(block, arr.size)
-    n_blocks = int(np.ceil(arr.size / block))
-    means = np.empty(n_blocks, dtype=float)
-    for i in range(n_blocks):
-        means[i] = arr[i * block : (i + 1) * block].mean()
-    return means

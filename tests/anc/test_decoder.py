@@ -1,15 +1,21 @@
 """Tests for the full interference decoder (forward and backward)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.anc import decoder as decoder_module
 from repro.anc.decoder import DecoderConfig, InterferenceDecoder, SubtractionDecoder
 from repro.channel.interference import InterferenceCombiner
 from repro.channel.link import Link
-from repro.exceptions import DecodingError
+from repro.exceptions import DecodingError, ReproError
 from repro.framing.frame import Framer
 from repro.framing.packet import Packet
 from repro.modulation.msk import MSKModulator
+from repro.signal.samples import ComplexSignal
 
 
 def _make_collision(
@@ -215,6 +221,160 @@ class TestBackwardEdgeCases:
         )
         assert diagnostics.reversed_decode
         assert np.mean(bits != frame_a.bits) < 0.05
+
+
+def _per_bit_runs(known_offset, known_end, unknown_offset, unknown_n_bits):
+    """Reference partition: classify each bit interval, then scan for runs."""
+
+    def known_active(sample_index):
+        return known_offset <= sample_index < known_end
+
+    interfered = [
+        known_active(unknown_offset + i) and known_active(unknown_offset + i + 1)
+        for i in range(unknown_n_bits)
+    ]
+    runs = []
+    i = 0
+    while i < unknown_n_bits:
+        j = i
+        while j < unknown_n_bits and interfered[j] == interfered[i]:
+            j += 1
+        runs.append((i, j, interfered[i]))
+        i = j
+    return runs
+
+
+def _geometry_collision(known_offset, known_n_bits, unknown_offset, unknown_n_bits, pad, seed):
+    """Two MSK frames at the given offsets, summed with distinct channels."""
+    rng = np.random.default_rng(seed)
+    modulator = MSKModulator(amplitude=1.0)
+    known_bits = rng.integers(0, 2, size=known_n_bits).astype(np.uint8)
+    unknown_bits = rng.integers(0, 2, size=unknown_n_bits).astype(np.uint8)
+    total = max(known_offset + known_n_bits, unknown_offset + unknown_n_bits) + 1 + pad
+    samples = 1e-2 * (rng.normal(size=total) + 1j * rng.normal(size=total))
+    for bits, offset, gain in (
+        (known_bits, known_offset, 0.9 * np.exp(0.4j)),
+        (unknown_bits, unknown_offset, 0.6 * np.exp(-1.1j)),
+    ):
+        wave = modulator.modulate(bits).samples
+        samples[offset : offset + wave.size] += gain * wave
+    return ComplexSignal(samples), known_bits
+
+
+def _decode_both(known_offset, known_n_bits, unknown_offset, unknown_n_bits, pad, seed):
+    """Decode with the real partition and with the per-bit reference.
+
+    Returns ``(fast, reference)``, each ``(bits, diagnostics)`` or the
+    error's type and message when the decode is refused (too little
+    overlap, or a degenerate amplitude estimate).
+    """
+    received, known_bits = _geometry_collision(
+        known_offset, known_n_bits, unknown_offset, unknown_n_bits, pad, seed
+    )
+
+    def run():
+        try:
+            return InterferenceDecoder().decode(
+                received, known_bits, known_offset, unknown_offset, unknown_n_bits
+            )
+        except ReproError as error:
+            return f"{type(error).__name__}: {error}"
+
+    fast = run()
+    with mock.patch.object(decoder_module, "_interval_runs", _per_bit_runs):
+        reference = run()
+    return fast, reference
+
+
+def _assert_same_decode(fast, reference):
+    if isinstance(reference, str):
+        assert fast == reference
+        return
+    fast_bits, fast_diagnostics = fast
+    reference_bits, reference_diagnostics = reference
+    assert fast_bits.dtype == reference_bits.dtype
+    np.testing.assert_array_equal(fast_bits, reference_bits)
+    # Dataclass equality compares every field, the amplitude estimate included.
+    assert fast_diagnostics == reference_diagnostics
+
+
+#: Named geometries ``(known_offset, known_n_bits, unknown_offset,
+#: unknown_n_bits)`` the partition must get exactly right; all decode.
+PARTITION_GEOMETRIES = {
+    # Both frames start together: the unknown frame has no clean head.
+    "no_clean_head": (0, 60, 0, 80),
+    # The unknown frame ends inside the known one: no clean tail, one run.
+    "no_clean_tail": (0, 100, 20, 50),
+    # unknown_offset + unknown_n_bits == known_end: a one-bit clean tail.
+    "one_bit_clean_run": (0, 60, 20, 41),
+    # min(known_end, unknown_end) - max(offsets) == 4 samples.
+    "overlap_exactly_four": (0, 40, 37, 50),
+    # The known frame starts second: the §7.4 reversed decode.
+    "backward": (25, 60, 0, 70),
+    # The known burst sits inside the unknown frame (clean head and tail).
+    "backward_contained": (30, 40, 0, 100),
+}
+
+
+class TestIntervalPartition:
+    @pytest.mark.parametrize("name", sorted(PARTITION_GEOMETRIES))
+    def test_named_geometry_matches_per_bit_reference(self, name):
+        known_offset, known_n_bits, unknown_offset, unknown_n_bits = PARTITION_GEOMETRIES[name]
+        known_end = known_offset + known_n_bits + 1
+        runs = decoder_module._interval_runs(
+            known_offset, known_end, unknown_offset, unknown_n_bits
+        )
+        if known_offset <= unknown_offset:
+            assert runs == _per_bit_runs(known_offset, known_end, unknown_offset, unknown_n_bits)
+        fast, reference = _decode_both(
+            known_offset, known_n_bits, unknown_offset, unknown_n_bits, pad=3, seed=1
+        )
+        assert not isinstance(reference, str), reference
+        _assert_same_decode(fast, reference)
+        diagnostics = fast[1]
+        assert diagnostics.interfered_bits + diagnostics.clean_bits == unknown_n_bits
+        assert diagnostics.reversed_decode == (known_offset > unknown_offset)
+
+    def test_named_geometries_cover_their_edge_cases(self):
+        def forward_runs(name):
+            known_offset, known_n_bits, unknown_offset, unknown_n_bits = PARTITION_GEOMETRIES[name]
+            return decoder_module._interval_runs(
+                known_offset, known_offset + known_n_bits + 1, unknown_offset, unknown_n_bits
+            )
+
+        assert forward_runs("no_clean_head")[0][2]
+        assert forward_runs("no_clean_tail") == [(0, 50, True)]
+        assert forward_runs("one_bit_clean_run")[-1] == (40, 41, False)
+        known_offset, known_n_bits, unknown_offset, unknown_n_bits = PARTITION_GEOMETRIES[
+            "overlap_exactly_four"
+        ]
+        overlap = min(known_offset + known_n_bits, unknown_offset + unknown_n_bits) + 1 - max(
+            known_offset, unknown_offset
+        )
+        assert overlap == 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        known_offset=st.integers(0, 40),
+        known_n_bits=st.integers(1, 70),
+        unknown_offset=st.integers(0, 40),
+        unknown_n_bits=st.integers(1, 70),
+        pad=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    # Three overlapping samples: both partitions must refuse alike.
+    @example(0, 40, 38, 50, 0, 0)
+    def test_any_geometry_matches_per_bit_reference(
+        self, known_offset, known_n_bits, unknown_offset, unknown_n_bits, pad, seed
+    ):
+        known_end = known_offset + known_n_bits + 1
+        assert decoder_module._interval_runs(
+            known_offset, known_end, unknown_offset, unknown_n_bits
+        ) == _per_bit_runs(known_offset, known_end, unknown_offset, unknown_n_bits)
+        fast, reference = _decode_both(
+            known_offset, known_n_bits, unknown_offset, unknown_n_bits, pad, seed
+        )
+        _assert_same_decode(fast, reference)
 
 
 class TestValidation:

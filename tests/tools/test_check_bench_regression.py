@@ -46,6 +46,35 @@ class TestFindRegressions:
         assert find_regressions(baseline, fresh, 0.30) == []
 
 
+class TestSimMetric:
+    def test_events_per_kernel_drop_beyond_tolerance_is_flagged(self):
+        baseline = dict(BASELINE, events_per_kernel=40.0)
+        fresh = dict(BASELINE, events_per_kernel=40.0 * 0.69)
+        findings = find_regressions(baseline, fresh, 0.30)
+        assert len(findings) == 1
+        assert findings[0].startswith("events_per_kernel: ")
+
+    def test_events_per_kernel_drop_within_tolerance_is_clean(self):
+        baseline = dict(BASELINE, events_per_kernel=40.0)
+        fresh = dict(BASELINE, events_per_kernel=40.0 * 0.71)
+        assert find_regressions(baseline, fresh, 0.30) == []
+
+    def test_events_per_kernel_missing_from_fresh_file_is_flagged(self, tmp_path):
+        base_path = tmp_path / "base.json"
+        base_path.write_text(
+            json.dumps({"metrics": BASELINE, "sim": {"events_per_kernel": 40.0}})
+        )
+        fresh_path = tmp_path / "fresh.json"
+        # A fresh file whose sim section still carries only the retired key.
+        fresh_path.write_text(
+            json.dumps(
+                {"metrics": BASELINE, "sim": {"event_throughput_vs_scalar_decode": 1.3}}
+            )
+        )
+        findings = find_regressions(load_metrics(base_path), load_metrics(fresh_path), 0.30)
+        assert findings == ["events_per_kernel: missing from the fresh measurement"]
+
+
 class TestCommandLine:
     def _write(self, tmp_path, name, metrics):
         path = tmp_path / name

@@ -3,7 +3,46 @@
 import numpy as np
 import pytest
 
-from repro.utils.angles import angular_distance, phase_difference, unwrap_phase, wrap_angle
+from repro.utils.angles import (
+    TWO_PI,
+    angular_distance,
+    phase_difference,
+    unwrap_phase,
+    wrap_angle,
+)
+
+#: ``np.isclose``'s default tolerance around ``-pi`` (``atol + rtol * pi``).
+_EDGE = 1e-08 + 1e-05 * np.pi
+
+#: Angles whose wrap lands on, near, or just either side of the ``-pi``
+#: tolerance edge, plus the non-finite inputs.
+_EDGE_INPUTS = [
+    -np.pi,
+    np.pi,
+    3 * np.pi,
+    -np.pi + 1e-8,
+    -np.pi - 1e-8,
+    np.pi + 1e-8,
+    -np.pi + _EDGE,
+    np.nextafter(-np.pi + _EDGE, 0.0),
+    np.nextafter(-np.pi + _EDGE, -np.inf),
+    -np.pi + 2 * _EDGE,
+    np.pi - _EDGE,
+    np.nan,
+    np.inf,
+    -np.inf,
+    0.0,
+]
+
+
+def _isclose_reference(angle):
+    """``wrap_angle`` as written with ``np.isclose`` (the behaviour to keep)."""
+    with np.errstate(invalid="ignore"):
+        wrapped = np.mod(np.asarray(angle, dtype=float) + np.pi, TWO_PI) - np.pi
+    wrapped = np.where(np.isclose(wrapped, -np.pi), np.pi, wrapped)
+    if np.isscalar(angle) or np.ndim(angle) == 0:
+        return float(wrapped)
+    return wrapped
 
 
 class TestWrapAngle:
@@ -35,6 +74,37 @@ class TestWrapAngle:
 
     def test_large_multiple_of_two_pi(self):
         assert wrap_angle(10 * 2 * np.pi + 0.3) == pytest.approx(0.3)
+
+    def test_exact_minus_pi_maps_to_pi(self):
+        assert wrap_angle(-np.pi) == np.pi
+
+    @pytest.mark.parametrize("angle", _EDGE_INPUTS)
+    def test_scalar_matches_isclose_reference(self, angle):
+        with np.errstate(invalid="ignore"):
+            out = wrap_angle(angle)
+        assert isinstance(out, float)
+        np.testing.assert_array_equal(out, _isclose_reference(angle))
+
+    @pytest.mark.parametrize("angle", _EDGE_INPUTS)
+    def test_zero_dim_array_matches_isclose_reference(self, angle):
+        with np.errstate(invalid="ignore"):
+            out = wrap_angle(np.array(angle))
+        assert isinstance(out, float)
+        np.testing.assert_array_equal(out, _isclose_reference(np.array(angle)))
+
+    def test_array_matches_isclose_reference(self):
+        angles = np.array(_EDGE_INPUTS)
+        with np.errstate(invalid="ignore"):
+            out = wrap_angle(angles)
+        np.testing.assert_array_equal(out, _isclose_reference(angles))
+
+    def test_tolerance_edge_is_inclusive(self):
+        wrapped = np.array([-np.pi + _EDGE, np.nextafter(-np.pi + _EDGE, 0.0)])
+        # Already in the principal interval, so only the -pi rule can move them.
+        out = wrap_angle(wrapped)
+        np.testing.assert_array_equal(out, _isclose_reference(wrapped))
+        assert out[0] == np.pi
+        assert out[1] == wrapped[1]
 
 
 class TestPhaseDifference:

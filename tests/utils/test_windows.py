@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.utils.windows import block_mean, moving_average, moving_energy, moving_variance
+from repro.utils.windows import moving_average, moving_energy, moving_variance
 
 
 class TestMovingAverage:
@@ -20,12 +20,36 @@ class TestMovingAverage:
         assert out == pytest.approx([2.0, 3.0, 5.0])
 
     def test_window_larger_than_input(self):
-        out = moving_average(np.array([1.0, 2.0, 3.0]), window=10)
+        values = np.array([1.0, 2.0, 3.0])
+        out = moving_average(values, window=10)
         assert out[-1] == pytest.approx(2.0)
+        np.testing.assert_array_equal(out, self._insert_reference(values, 10))
 
     def test_invalid_window(self):
         with pytest.raises(ConfigurationError):
             moving_average(np.ones(4), 0)
+
+    @staticmethod
+    def _insert_reference(values, window):
+        """The ``np.insert``-based cumsum the implementation used to build."""
+        arr = np.asarray(values, dtype=float)
+        cumulative = np.cumsum(np.insert(arr, 0, 0.0))
+        idx = np.arange(1, arr.size + 1)
+        start = np.maximum(idx - window, 0)
+        return (cumulative[idx] - cumulative[start]) / (idx - start)
+
+    def test_two_dimensional_input_is_flattened(self):
+        values = np.arange(12, dtype=float).reshape(3, 4) ** 1.5
+        out = moving_average(values, window=5)
+        assert out.shape == (12,)
+        np.testing.assert_array_equal(out, self._insert_reference(values, 5))
+
+    def test_negative_zero_entry(self):
+        values = np.array([-0.0, 1.25, -0.0, 3.5, -2.0])
+        out = moving_average(values, window=2)
+        reference = self._insert_reference(values, 2)
+        np.testing.assert_array_equal(out, reference)
+        assert np.signbit(out).tolist() == np.signbit(reference).tolist()
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -60,12 +84,3 @@ class TestMovingVariance:
         out = moving_variance(rng.normal(size=200), window=16)
         assert np.all(out >= 0)
 
-
-class TestBlockMean:
-    def test_exact_blocks(self):
-        out = block_mean(np.array([1.0, 3.0, 5.0, 7.0]), block=2)
-        assert out == pytest.approx([2.0, 6.0])
-
-    def test_partial_trailing_block(self):
-        out = block_mean(np.array([1.0, 1.0, 4.0]), block=2)
-        assert out == pytest.approx([1.0, 4.0])
