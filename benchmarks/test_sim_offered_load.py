@@ -82,8 +82,8 @@ def test_offered_load_quick_trajectory():
     )
     assert high["anc"]["drop_rate"] < high["traditional"]["drop_rate"]
 
-    # Merge into the trajectory artifact (the PHY microbenchmark owns the
-    # top-level metrics; this benchmark owns the "sim" section).
+    # Merge into the trajectory artifact; this benchmark owns its "sim"
+    # section, the one tools/check_bench_regression.py gates.
     trajectory = {}
     if TRAJECTORY_PATH.is_file():
         trajectory = json.loads(TRAJECTORY_PATH.read_text())

@@ -25,14 +25,6 @@ from repro.anc.amplitude import (
     sigma_statistic,
 )
 from repro.anc.matching import MatchResult, match_phase_differences
-from repro.anc.batch import (
-    BatchMatchResult,
-    BatchPhaseSolutions,
-    batch_differential_bits,
-    batch_interference_cosine,
-    batch_match_phase_differences,
-    batch_phase_solutions,
-)
 from repro.anc.decoder import (
     ANCDecoder,
     DecoderConfig,
@@ -52,8 +44,6 @@ __all__ = [
     "ANCDecoder",
     "AlignmentResult",
     "AmplitudeEstimate",
-    "BatchMatchResult",
-    "BatchPhaseSolutions",
     "DecodeDiagnostics",
     "DecoderConfig",
     "InterferenceDecoder",
@@ -64,10 +54,6 @@ __all__ = [
     "ReceiveResult",
     "SubtractionDecoder",
     "align_known_frame",
-    "batch_differential_bits",
-    "batch_interference_cosine",
-    "batch_match_phase_differences",
-    "batch_phase_solutions",
     "estimate_amplitudes",
     "estimate_amplitudes_with_known",
     "find_interference_start",

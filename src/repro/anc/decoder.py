@@ -31,7 +31,7 @@ the two under channel-estimation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,13 +43,10 @@ from repro.anc.amplitude import (
 )
 from repro.anc.lemma import phase_solutions
 from repro.anc.matching import match_phase_differences
-from repro.backend import Backend, resolve_backend
 from repro.exceptions import DecodingError
-from repro.modulation.batch import batch_expected_phase_differences
 from repro.modulation.msk import expected_phase_differences
-from repro.signal.batch import BatchLike, ensure_batch_array
 from repro.signal.samples import ComplexSignal
-from repro.utils.validation import ensure_bit_array, ensure_bit_matrix
+from repro.utils.validation import ensure_bit_array
 
 
 @dataclass(frozen=True)
@@ -133,22 +130,10 @@ class InterferenceDecoder:
     config:
         Decoder tunables (:class:`DecoderConfig`); defaults apply when
         omitted.
-    backend:
-        Compute backend for the batched kernels — a registry name, an
-        already-resolved :class:`~repro.backend.Backend`, or ``None`` to
-        resolve the ambient backend (:func:`repro.backend.use_backend`
-        scope, else ``numpy``) at each :meth:`decode_batch` call.  The
-        scalar :meth:`decode` path is the fixed reference implementation
-        and never changes with the backend.
     """
 
-    def __init__(
-        self,
-        config: Optional[DecoderConfig] = None,
-        backend: Union[None, str, Backend] = None,
-    ) -> None:
+    def __init__(self, config: Optional[DecoderConfig] = None) -> None:
         self.config = config if config is not None else DecoderConfig()
-        self.backend = backend
 
     # ------------------------------------------------------------------
     # Public API
@@ -196,106 +181,6 @@ class InterferenceDecoder:
         return self._decode_backward(
             received, known, known_offset, unknown_offset, unknown_n_bits
         )
-
-    def decode_batch(
-        self,
-        received: BatchLike,
-        known_bits,
-        known_offsets,
-        unknown_offsets,
-        unknown_n_bits: int,
-    ) -> Tuple[np.ndarray, List[DecodeDiagnostics]]:
-        """Decode a whole batch of two-packet collisions at once.
-
-        The batched fast path of :meth:`decode`: trials sharing a collision
-        geometry (the same offset pair, hence the same interfered/clean
-        interval partition and decode direction) are vectorized together —
-        Lemma 6.1 phase solutions, Eq. 7-8 matching and clean-interval
-        slicing all run as single 2D numpy operations over the trial axis,
-        while the Eq. 5-6 amplitude estimation runs through the scalar
-        reference helpers per trial.  Row ``i`` of the output is
-        **bit-identical** to ``decode(received.row(i), ...)`` with trial
-        ``i``'s arguments (enforced by
-        ``tests/properties/test_batch_equivalence.py``).
-
-        Parameters
-        ----------
-        received:
-            Composite received waveforms, a
-            :class:`~repro.signal.batch.SignalBatch` or a 2D
-            ``(n_trials, n_samples)`` complex array (forward time order).
-        known_bits:
-            One known frame's bits per trial, shape
-            ``(n_trials, n_known_bits)``.
-        known_offsets / unknown_offsets:
-            Sample index of each frame's reference sample, either one int
-            shared by the whole batch or one int per trial.
-        unknown_n_bits:
-            Number of bits to decode for every unknown frame.
-
-        Returns
-        -------
-        (bits, diagnostics)
-            Decoded unknown-frame bits, shape
-            ``(n_trials, unknown_n_bits)``, in forward order, plus one
-            :class:`DecodeDiagnostics` per trial.
-        """
-        samples = ensure_batch_array(received, "received")
-        known = ensure_bit_matrix(known_bits, "known_bits")
-        n_trials = samples.shape[0]
-        if known.shape[0] != n_trials:
-            raise DecodingError(
-                f"known_bits has {known.shape[0]} rows for {n_trials} received waveforms"
-            )
-        if unknown_n_bits <= 0:
-            raise DecodingError("unknown_n_bits must be positive")
-        known_offset_arr = self._offset_column(known_offsets, n_trials, "known_offsets")
-        unknown_offset_arr = self._offset_column(unknown_offsets, n_trials, "unknown_offsets")
-        backend = resolve_backend(self.backend)
-
-        bits = np.zeros((n_trials, unknown_n_bits), dtype=np.uint8)
-        diagnostics: List[Optional[DecodeDiagnostics]] = [None] * n_trials
-        geometries = sorted(set(zip(known_offset_arr.tolist(), unknown_offset_arr.tolist())))
-        for known_offset, unknown_offset in geometries:
-            group = np.flatnonzero(
-                (known_offset_arr == known_offset) & (unknown_offset_arr == unknown_offset)
-            )
-            if known_offset <= unknown_offset:
-                group_bits, group_diagnostics = self._decode_forward_batch(
-                    samples[group],
-                    known[group],
-                    known_offset,
-                    unknown_offset,
-                    unknown_n_bits,
-                    backend=backend,
-                )
-            else:
-                group_bits, group_diagnostics = self._decode_backward_batch(
-                    samples[group],
-                    known[group],
-                    known_offset,
-                    unknown_offset,
-                    unknown_n_bits,
-                    backend=backend,
-                )
-            bits[group] = group_bits
-            for position, trial in enumerate(group):
-                diagnostics[trial] = group_diagnostics[position]
-        return bits, diagnostics
-
-    @staticmethod
-    def _offset_column(offsets, n_trials: int, name: str) -> np.ndarray:
-        """Broadcast/validate a scalar-or-per-trial offset argument."""
-        arr = np.asarray(offsets)
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise DecodingError(f"{name} must be integers")
-        if arr.ndim == 0:
-            arr = np.full(n_trials, int(arr))
-        if arr.ndim != 1 or arr.size != n_trials:
-            raise DecodingError(f"{name} must be one int or one int per trial")
-        if np.any(arr < 0):
-            raise DecodingError("frame offsets must be non-negative")
-        return arr.astype(int)
 
     # ------------------------------------------------------------------
     # Forward decoding (known packet starts first)
@@ -386,225 +271,6 @@ class InterferenceDecoder:
         )
         forward_bits = (1 - rev_bits[::-1]).astype(np.uint8)
         return forward_bits, diagnostics
-
-    # ------------------------------------------------------------------
-    # Batched decoding (one geometry group at a time)
-    # ------------------------------------------------------------------
-    def _decode_forward_batch(
-        self,
-        samples: np.ndarray,
-        known_bits: np.ndarray,
-        known_offset: int,
-        unknown_offset: int,
-        unknown_n_bits: int,
-        reversed_decode: bool = False,
-        backend: Optional[Backend] = None,
-    ) -> Tuple[np.ndarray, List[DecodeDiagnostics]]:
-        """Vectorized :meth:`_decode_forward` over trials sharing a geometry.
-
-        ``samples`` is the group's ``(n_trials, n_samples)`` block and
-        ``known_bits`` its ``(n_trials, n_known_bits)`` rows.  The
-        interval partition is geometry-only, so every trial shares the
-        same interfered/clean runs; each run is decoded for all trials in
-        one batched kernel call through ``backend`` (the resolved compute
-        backend; ``None`` resolves the ambient one).  Amplitudes come
-        from the scalar estimator per trial, which keeps them
-        bit-identical by construction whatever the backend.
-        """
-        if backend is None:
-            backend = resolve_backend(self.backend)
-        n_trials = samples.shape[0]
-        known_n_samples = known_bits.shape[1] + 1
-        known_end = known_offset + known_n_samples
-        unknown_end = unknown_offset + unknown_n_bits + 1
-        if unknown_end > samples.shape[1]:
-            raise DecodingError(
-                "received waveform is too short for the requested unknown frame"
-            )
-
-        diagnostics = [
-            DecodeDiagnostics(reversed_decode=reversed_decode) for _ in range(n_trials)
-        ]
-        amplitudes_a, amplitudes_b = self._estimate_amplitudes_group(
-            samples, known_offset, known_end, unknown_offset, unknown_end, diagnostics
-        )
-
-        known_diffs_full = batch_expected_phase_differences(known_bits)
-        bits = np.zeros((n_trials, unknown_n_bits), dtype=np.uint8)
-        match_errors: List[np.ndarray] = []
-
-        # Same maximal-run partition as the scalar path; it depends only
-        # on the (shared) geometry, never on the per-trial samples.
-        for i, j, interfered in _interval_runs(
-            known_offset, known_end, unknown_offset, unknown_n_bits
-        ):
-            first_sample = unknown_offset + i
-            last_sample = unknown_offset + j  # inclusive end sample of the run
-            block = samples[:, first_sample : last_sample + 1]
-            if interfered:
-                known_indices = np.arange(first_sample, last_sample) - known_offset
-                known_diffs = known_diffs_full[:, known_indices]
-                solutions = backend.phase_solutions(block, amplitudes_a, amplitudes_b)
-                result = backend.match_phase_differences(solutions, known_diffs)
-                bits[:, i:j] = result.bits
-                match_errors.append(result.match_errors)
-                for diagnostic in diagnostics:
-                    diagnostic.interfered_bits += j - i
-            else:
-                bits[:, i:j] = backend.differential_bits(block)
-                for diagnostic in diagnostics:
-                    diagnostic.clean_bits += j - i
-
-        if match_errors:
-            # Same concatenate-then-mean the scalar path performs per trial.
-            for trial in range(n_trials):
-                diagnostics[trial].mean_match_error = float(
-                    np.mean(np.concatenate([errors[trial] for errors in match_errors]))
-                )
-        return bits, diagnostics
-
-    def _decode_backward_batch(
-        self,
-        samples: np.ndarray,
-        known_bits: np.ndarray,
-        known_offset: int,
-        unknown_offset: int,
-        unknown_n_bits: int,
-        backend: Optional[Backend] = None,
-    ) -> Tuple[np.ndarray, List[DecodeDiagnostics]]:
-        """Vectorized §7.4 backward decoding for one geometry group.
-
-        Identical transformation to the scalar :meth:`_decode_backward` —
-        reverse time, flip the known bits, decode forward, un-reverse —
-        applied to the whole trial block at once, through ``backend``.
-        """
-        total = samples.shape[1]
-        known_n_samples = known_bits.shape[1] + 1
-        unknown_n_samples = unknown_n_bits + 1
-        rev_known_offset = total - known_offset - known_n_samples
-        rev_unknown_offset = total - unknown_offset - unknown_n_samples
-        if rev_known_offset < 0 or rev_unknown_offset < 0:
-            raise DecodingError("frame extends beyond the received waveform")
-        rev_known_bits = (1 - known_bits[:, ::-1]).astype(np.uint8)
-        # Materialize the reversed block contiguously, exactly like the
-        # scalar path's ComplexSignal copy: numpy routes strided views
-        # through different (scalar-libm) kernels whose last-ULP rounding
-        # can differ from the contiguous SIMD path, which would break the
-        # bit-identity contract.
-        rev_samples = np.ascontiguousarray(samples[:, ::-1])
-        rev_bits, diagnostics = self._decode_forward_batch(
-            rev_samples,
-            rev_known_bits,
-            rev_known_offset,
-            rev_unknown_offset,
-            unknown_n_bits,
-            reversed_decode=True,
-            backend=backend,
-        )
-        forward_bits = (1 - rev_bits[:, ::-1]).astype(np.uint8)
-        return forward_bits, diagnostics
-
-    def _estimate_amplitudes_group(
-        self,
-        samples: np.ndarray,
-        known_offset: int,
-        known_end: int,
-        unknown_offset: int,
-        unknown_end: int,
-        diagnostics: List[DecodeDiagnostics],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-trial ``(A, B)`` estimates for one geometry group, batched.
-
-        Bit-identical to calling :meth:`_estimate_amplitudes` per trial:
-        the region means are row-reductions over the same values (numpy
-        reduces the last axis of a 2D array row by row, with the same
-        pairwise blocking as the 1D case), and the data-dependent Eq. 6
-        statistic — whose above-the-mean subset length varies per trial —
-        stays a per-trial computation on the shared energy rows.
-        """
-        n_trials = samples.shape[0]
-        overlap_start = max(known_offset, unknown_offset)
-        overlap_end = min(known_end, unknown_end)
-        overlap_samples = max(0, overlap_end - overlap_start)
-        for diagnostic in diagnostics:
-            diagnostic.overlap_samples = overlap_samples
-        if overlap_samples < 4:
-            raise DecodingError(
-                "packets overlap by fewer than 4 samples; nothing to decode with ANC"
-            )
-        if self.config.amplitude_method == "oracle":
-            oracle_a, oracle_b = self.config.amplitude_oracle
-            return (
-                np.full(n_trials, float(oracle_a)),
-                np.full(n_trials, float(oracle_b)),
-            )
-
-        overlap = samples[:, overlap_start:overlap_end]
-        head = samples[:, known_offset:unknown_offset]
-        tail = samples[:, known_end:unknown_end]
-        head_amplitudes = (
-            np.mean(np.abs(head), axis=1)
-            if head.shape[1] >= self.config.min_head_samples
-            else None
-        )
-        tail_amplitudes = (
-            np.mean(np.abs(tail), axis=1)
-            if tail.shape[1] >= self.config.min_head_samples
-            else None
-        )
-
-        amplitudes_a = np.empty(n_trials, dtype=float)
-        amplitudes_b = np.empty(n_trials, dtype=float)
-        if self.config.amplitude_method == "hybrid" and (
-            head_amplitudes is not None or tail_amplitudes is not None
-        ):
-            energy = np.abs(overlap) ** 2
-            mu_rows = np.mean(energy, axis=1)
-            for trial in range(n_trials):
-                mu = float(mu_rows[trial])
-                if head_amplitudes is not None:
-                    amplitude_a = float(head_amplitudes[trial])
-                    amplitude_b = float(np.sqrt(max(mu - amplitude_a ** 2, 1e-12)))
-                else:
-                    amplitude_b = float(tail_amplitudes[trial])
-                    amplitude_a = float(np.sqrt(max(mu - amplitude_b ** 2, 1e-12)))
-                estimate = AmplitudeEstimate(
-                    amplitude_a=amplitude_a,
-                    amplitude_b=amplitude_b,
-                    mu=mu,
-                    sigma=self._sigma_from_energy(energy[trial], mu),
-                )
-                diagnostics[trial].amplitude_estimate = estimate
-                amplitudes_a[trial] = amplitude_a
-                amplitudes_b[trial] = amplitude_b
-            return amplitudes_a, amplitudes_b
-
-        # "sigma" method, or "hybrid" degraded to it (no clean edges):
-        # inherently per-trial (the Eq. 6 statistic is data-dependent).
-        for trial in range(n_trials):
-            head_amp = (
-                float(head_amplitudes[trial]) if head_amplitudes is not None else None
-            )
-            tail_amp = (
-                float(tail_amplitudes[trial]) if tail_amplitudes is not None else None
-            )
-            amplitudes_a[trial], amplitudes_b[trial] = self._estimate_sigma(
-                overlap[trial], head_amp, tail_amp, diagnostics[trial]
-            )
-        return amplitudes_a, amplitudes_b
-
-    @staticmethod
-    def _sigma_from_energy(energy: np.ndarray, mu: float) -> float:
-        """Eq. 6 statistic from a precomputed energy row.
-
-        Same arithmetic as :func:`repro.anc.amplitude.sigma_statistic`
-        with ``|y|^2`` already materialized (the batch path shares one
-        energy array across the mean and sigma statistics).
-        """
-        above = energy[energy > mu]
-        if above.size == 0:
-            return mu
-        return float(2.0 * np.sum(above) / energy.size)
 
     # ------------------------------------------------------------------
     # Amplitude estimation
@@ -701,8 +367,7 @@ class InterferenceDecoder:
         return estimate.amplitude_a, estimate.amplitude_b
 
 
-#: The paper-facing name of the interference decoder.  ``decode`` is the
-#: scalar reference path; ``decode_batch`` is the vectorized fast path.
+#: The paper-facing name of the interference decoder.
 ANCDecoder = InterferenceDecoder
 
 

@@ -17,16 +17,6 @@ class ConfigurationError(ReproError):
     """Raised when a component is constructed with invalid parameters."""
 
 
-class BackendError(ConfigurationError):
-    """Raised when a compute backend is unknown, misdeclared or refused.
-
-    Derives from :class:`ConfigurationError` because a bad backend choice
-    is a configuration problem; the dedicated subclass lets callers
-    distinguish "this backend cannot run" (missing accuracy-gate
-    metadata, unregistered name) from ordinary parameter validation.
-    """
-
-
 class ModulationError(ReproError):
     """Raised when modulation or demodulation cannot proceed."""
 

@@ -69,7 +69,7 @@ def run_capacity_experiment(
             "the capacity experiment evaluates analytic Theorem 8.1 bounds; "
             "channel impairments (--cfo/--fading) do not apply to it"
         )
-    points = default_engine(engine).run_batched(
+    points = default_engine(engine).map(
         "fig07_capacity",
         run_capacity_point_trial,
         cfg,

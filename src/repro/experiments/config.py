@@ -15,7 +15,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import DEFAULT_BACKEND, available_backends
 from repro.channel.impairments import ImpairmentConfig
 from repro.constants import DEFAULT_ANC_REDUNDANCY_OVERHEAD, PAPER_NUM_RUNS
 from repro.exceptions import ConfigurationError
@@ -60,21 +59,13 @@ class ExperimentConfig:
         Master seed; every run derives its own substream from it.
     batch_size:
         Trials handed to an engine worker as one block
-        (:meth:`~repro.experiments.engine.ExperimentEngine.run_batched`).
+        (the ``batch_size`` of
+        :meth:`~repro.experiments.engine.ExperimentEngine.map`).
         ``1`` dispatches trial by trial; larger values amortize dispatch
         overhead for short trials.  Purely an execution knob — results
         are identical at every batch size, and it is excluded from the
         engine's cache digest for exactly that reason.  See
         ``docs/PERFORMANCE.md`` for guidance on setting it.
-    backend:
-        Compute backend for the batched PHY kernels (one of
-        :func:`repro.backend.available_backends`).  The engine makes it
-        ambient for every trial it executes, in-process and in workers
-        alike.  Digest-neutral backends (``numpy``, ``numba``) follow
-        the ``batch_size`` rule and stay out of the cache digest;
-        ``float32-fast`` is accuracy-gated rather than bit-exact and
-        forks the digest.  The default is omitted from :meth:`snapshot`
-        so pre-backend digests and golden fixtures stay stable.
     impairments:
         Optional channel impairments (per-sender CFO, stochastic fading)
         applied on top of the baseline flat channel — see
@@ -115,7 +106,6 @@ class ExperimentConfig:
     chain_redundancy_overhead: float = 0.04
     seed: int = 20070823
     batch_size: int = 1
-    backend: str = "numpy"
     impairments: ImpairmentConfig = ImpairmentConfig()
     arrival_rate: float = 0.0
     sim_duration: float = 0.0
@@ -127,11 +117,6 @@ class ExperimentConfig:
             raise ConfigurationError("runs must be positive")
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
-        if self.backend not in available_backends():
-            raise ConfigurationError(
-                f"unknown compute backend {self.backend!r}; choose from "
-                f"{', '.join(available_backends())}"
-            )
         if self.packets_per_run <= 0:
             raise ConfigurationError("packets_per_run must be positive")
         if self.payload_bits <= 0 or self.payload_bits % 8 != 0:
@@ -224,8 +209,8 @@ class ExperimentConfig:
     def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "ExperimentConfig":
         """Inverse of :meth:`snapshot`: rebuild an equal config.
 
-        Fields the snapshot omitted (disabled impairments, the default
-        backend, default traffic knobs) come back at their defaults —
+        Fields the snapshot omitted (disabled impairments, default
+        traffic knobs) come back at their defaults —
         exactly the values whose omission :meth:`snapshot` guarantees —
         so ``from_snapshot(cfg.snapshot()) == cfg`` holds for every
         config.  The campaign layer's content-addressed digests rely on
@@ -255,15 +240,11 @@ class ExperimentConfig:
         test is *equality with the default*, not ``enabled``: a bare
         ``fading_mode="drift"`` request is inactive on most experiments
         but changes what ``fading_sweep`` computes, so it must fork the
-        digest.  The default ``backend`` is omitted for the same
-        stability reason (and non-default digest-neutral backends are
-        dropped later, by the engine's digest rule).
+        digest.
         """
         payload = asdict(self)
         if self.impairments == ImpairmentConfig():
             payload.pop("impairments")
-        if self.backend == DEFAULT_BACKEND:
-            payload.pop("backend")
         for knob, default in (
             ("arrival_rate", 0.0),
             ("sim_duration", 0.0),

@@ -41,16 +41,15 @@ import re
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, is_dataclass
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
-from typing import Any, Callable, ContextManager, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 import repro
-from repro.exceptions import BackendError, ConfigurationError
+from repro.exceptions import ConfigurationError
 
 #: Signature every trial function must satisfy: ``(config, key, **params)``.
 TrialFn = Callable[..., Any]
@@ -155,40 +154,21 @@ def _resolve_shared_arrays(
     return resolved, handles
 
 
-def _backend_scope(config: Any) -> ContextManager[Any]:
-    """Ambient-backend scope for one trial block, from ``config.backend``.
-
-    Configs without a ``backend`` field (or with ``None``) run in
-    whatever backend is already ambient — a no-op scope.  This is how a
-    config's backend choice reaches worker processes: the name travels
-    inside the pickled config, and the block executor re-enters the scope
-    on the other side.
-    """
-    backend_name = getattr(config, "backend", None)
-    if not isinstance(backend_name, str):
-        return nullcontext()
-    from repro.backend import use_backend
-
-    return use_backend(backend_name)
-
-
 def _execute_trial_block(
     trial_fn: "TrialFn", config: Any, keys: List["TrialKey"], kwargs: Dict[str, Any]
 ) -> List[Any]:
-    """Execute one batch of trials in order; the unit ``run_batched`` ships.
+    """Execute one batch of trials in order; the unit a parallel ``map`` ships.
 
     Top-level (hence picklable) so a whole block crosses the process
     boundary as one task: one submit, one pickle round-trip and one
     future per ``batch_size`` trials instead of per trial.  Results come
     back in ``keys`` order, so batching cannot reorder anything.  Any
     shared-memory array refs in ``kwargs`` are resolved to views here and
-    released when the block finishes, and the config's compute backend
-    (if it names one) is made ambient for the block.
+    released when the block finishes.
     """
     resolved, handles = _resolve_shared_arrays(kwargs)
     try:
-        with _backend_scope(config):
-            return [trial_fn(config, key, **resolved) for key in keys]
+        return [trial_fn(config, key, **resolved) for key in keys]
     finally:
         del resolved  # drop array views before closing their mappings
         for handle in handles:
@@ -243,28 +223,6 @@ def _key_slug(key: TrialKey) -> str:
     return f"{_key_base(key)[:96]}-{digest}"
 
 
-def _pop_digest_neutral_backend(config_repr: Dict[str, Any]) -> None:
-    """Drop a ``backend`` config field from the digest view when neutral.
-
-    The same rule as ``batch_size``: a backend the differential suite
-    certifies equivalent to the scalar reference (``numpy``, ``numba``)
-    is an execution knob, so caches survive switching it.  A
-    non-neutral backend (``float32-fast``) — or any unrecognized value —
-    stays in and forks the digest, the conservative direction.
-    """
-    name = config_repr.get("backend")
-    if not isinstance(name, str):
-        return
-    from repro.backend import get_backend
-
-    try:
-        neutral = get_backend(name).digest_neutral
-    except BackendError:
-        return
-    if neutral:
-        config_repr.pop("backend", None)
-
-
 @dataclass(frozen=True)
 class EngineStats:
     """Bookkeeping of one :meth:`ExperimentEngine.map` invocation.
@@ -309,9 +267,9 @@ class ExperimentEngine:
         recomputing — this is what makes interrupted paper-scale sweeps
         resumable.  ``None`` (the default) disables all disk I/O.
     batch_size:
-        Default number of trials shipped to a worker as one block (see
-        :meth:`run_batched`).  ``1`` (the default) dispatches trial by
-        trial — the reference behaviour.  Batching only amortizes
+        Default number of trials shipped to a worker as one block (the
+        ``batch_size`` of :meth:`map`).  ``1`` (the default) dispatches
+        trial by trial — the reference behaviour.  Batching only amortizes
         dispatch overhead; results and the per-trial cache layout are
         identical at every batch size.
     shared_memory:
@@ -369,10 +327,8 @@ class ExperimentEngine:
         configurations (in-place code edits within one version are the
         one thing it cannot detect — see the module docstring).
 
-        Two classes of config field are deliberately excluded: execution
-        knobs the differential suite proves result-neutral
-        (``batch_size``, and ``backend`` whenever the named backend is
-        digest-neutral — ``float32-fast`` is not, and forks the digest).
+        One config field is deliberately excluded: ``batch_size``, an
+        execution knob that provably does not change trial results.
         Configs that are neither snapshot-bearing, nor dataclasses, nor
         plainly JSON-serializable are rejected with
         :class:`~repro.exceptions.ConfigurationError`: silently digesting
@@ -386,14 +342,12 @@ class ExperimentEngine:
             # digested through it.
             config_repr: Any = dict(snapshot())
             config_repr.pop("batch_size", None)
-            _pop_digest_neutral_backend(config_repr)
         elif is_dataclass(config) and not isinstance(config, type):
             config_repr = asdict(config)
             # Execution knobs that provably do not change trial results
             # (the differential suite enforces this for batch_size) stay
             # out of the digest so caches survive changing them.
             config_repr.pop("batch_size", None)
-            _pop_digest_neutral_backend(config_repr)
         else:
             try:
                 json.dumps(config)
@@ -530,11 +484,10 @@ class ExperimentEngine:
             # future bookkeeping to amortize), so keep the per-trial
             # execute-then-persist loop: an interruption never loses a
             # completed trial from the resume cache.
-            with _backend_scope(config):
-                for key in pending:
-                    result = trial_fn(config, key, **kwargs)
-                    self._store_cached(self._trial_path(digest, key), result)
-                    results[_key_slug(key)] = result
+            for key in pending:
+                result = trial_fn(config, key, **kwargs)
+                self._store_cached(self._trial_path(digest, key), result)
+                results[_key_slug(key)] = result
         else:
             ship_kwargs = kwargs
             shm_segments: List[SharedMemory] = []
@@ -579,36 +532,6 @@ class ExperimentEngine:
         )
         self.stats_log.append(self.last_stats)
         return [results[_key_slug(key)] for key in keys]
-
-    def run_batched(
-        self,
-        experiment: str,
-        trial_fn: TrialFn,
-        config: Any,
-        trial_keys: Iterable[TrialKey],
-        params: Optional[Mapping[str, Any]] = None,
-        batch_size: Optional[int] = None,
-    ) -> List[Any]:
-        """Execute trials in worker-sized blocks instead of one at a time.
-
-        Identical results to :meth:`map` — only the dispatch unit changes:
-        workers receive ``batch_size`` trials per task, which amortizes
-        process-pool pickling and future bookkeeping for sweeps whose
-        individual trials are short (the regime the batched PHY kernels
-        create).  With ``batch_size=None`` the engine's configured default
-        applies (the resolution :meth:`map` already performs).  Large
-        ndarray ``params`` additionally ride to workers through shared
-        memory (see the ``shared_memory`` constructor knob) — zero-copy,
-        bit-identical to the pickling path.
-        """
-        return self.map(
-            experiment,
-            trial_fn,
-            config,
-            trial_keys,
-            params=params,
-            batch_size=batch_size,
-        )
 
 
 def default_engine(engine: Optional[ExperimentEngine]) -> ExperimentEngine:

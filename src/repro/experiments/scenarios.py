@@ -256,7 +256,7 @@ def run_scenario(
         )
     values = spec.values_for(quick)
     keys = [(value, run) for value in values for run in range(cfg.runs)]
-    cells = default_engine(engine).run_batched(
+    cells = default_engine(engine).map(
         f"scenario_{spec.name}", spec.trial_fn, cfg, keys,
         params=spec.params, batch_size=cfg.engine_batch_size,
     )

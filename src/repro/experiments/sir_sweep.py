@@ -186,7 +186,7 @@ def run_sir_sweep(
         "packets_per_point": int(packets_per_point),
         "snr_db": float(snr_db),
     }
-    return default_engine(engine).run_batched(
+    return default_engine(engine).map(
         "fig13_sir_sweep",
         run_sir_point_trial,
         cfg,

@@ -137,7 +137,7 @@ def run_snr_sweep(
         "snr_db_values": tuple(float(v) for v in snr_db_values),
         "runs_per_point": int(runs_per_point),
     }
-    return default_engine(engine).run_batched(
+    return default_engine(engine).map(
         "extension_snr_sweep",
         run_snr_point_trial,
         cfg,

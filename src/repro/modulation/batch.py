@@ -1,142 +1,55 @@
-"""Batched MSK modulation/demodulation over ``(n_trials, n_bits)`` arrays.
+"""Differential MSK demodulation over a ``(n_trials, n_samples)`` array.
 
-The scalar :class:`~repro.modulation.msk.MSKModulator` walks one frame at
-a time; a Monte-Carlo sweep that modulates thousands of frames therefore
-pays one Python/numpy round-trip per frame.  The batched variants here
-process a whole trial block with single vectorized calls: the phase
-trajectory is one ``cumsum`` over the bit axis, oversampling is one
-outer-add phase ramp, and differential demodulation is one conjugate
-product over the batch.
+Row ``i`` of the output equals the scalar
+:class:`~repro.modulation.msk.MSKDemodulator` applied to row ``i`` of the
+input: the same conjugate product and ``np.angle`` per element.
 
-Every kernel is **bit-identical per row** to the scalar reference path —
-row ``i`` of the batched output equals the scalar modulator/demodulator
-applied to row ``i`` of the input, sample for sample.  The differential
-test suite ``tests/properties/test_batch_equivalence.py`` enforces this
-with hypothesis-generated inputs; see ``docs/PERFORMANCE.md`` for why the
-guarantee holds (identical elementwise IEEE operations, ``cumsum`` along
-the trial rows, and the same multiply-then-add ramp ``np.linspace`` uses).
+No library code calls this class; it stays because the ``perfbench``
+layer table (``perfbench/layers.py::targets``) wraps its ``demodulate``,
+and only a benchmark change may edit ``perfbench/``.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
-from repro.backend import Backend, resolve_backend
-from repro.constants import DEFAULT_TX_AMPLITUDE, MSK_PHASE_STEP
-from repro.modulation.msk import interpolate_phase_ramp
-from repro.signal.batch import BatchLike, SignalBatch, ensure_batch_array
-from repro.utils.validation import ensure_bit_matrix, ensure_positive, ensure_positive_int
-
-
-def batch_msk_phase_trajectory(bits: np.ndarray, initial_phase: float = 0.0) -> np.ndarray:
-    """Cumulative MSK phase trajectories for a whole bit matrix.
-
-    Row ``i`` equals :func:`repro.modulation.msk.msk_phase_trajectory` of
-    ``bits[i]``: entry 0 is the initial phase and entry ``k`` the phase
-    after the first ``k`` bits.  Output shape is
-    ``(n_trials, n_bits + 1)``.
-    """
-    clean = ensure_bit_matrix(bits, "bits")
-    steps = np.where(clean == 1, MSK_PHASE_STEP, -MSK_PHASE_STEP)
-    lead = np.zeros((clean.shape[0], 1), dtype=float)
-    return initial_phase + np.concatenate([lead, np.cumsum(steps, axis=1)], axis=1)
-
-
-def batch_expected_phase_differences(bits: np.ndarray) -> np.ndarray:
-    """Per-row ±pi/2 phase-difference sequences of a bit matrix.
-
-    Row-wise counterpart of
-    :func:`repro.modulation.msk.expected_phase_differences` — the known
-    ``delta theta_s`` sequences the batched ANC matcher consumes.
-    """
-    clean = ensure_bit_matrix(bits, "bits")
-    return np.where(clean == 1, MSK_PHASE_STEP, -MSK_PHASE_STEP).astype(float)
-
-
-class BatchMSKModulator:
-    """Modulate ``(n_trials, n_bits)`` bit matrices in one vectorized pass.
-
-    Construction parameters mirror
-    :class:`~repro.modulation.msk.MSKModulator`; ``modulate`` returns a
-    :class:`~repro.signal.batch.SignalBatch` whose row ``i`` is
-    bit-identical to the scalar modulator applied to ``bits[i]`` when the
-    waveform-synthesis step runs on a digest-neutral compute backend
-    (``backend=None`` resolves the ambient one per call; the
-    ``float32-fast`` backend synthesises in reduced precision before the
-    batch container upcasts to complex128).
-    """
-
-    def __init__(
-        self,
-        amplitude: float = DEFAULT_TX_AMPLITUDE,
-        samples_per_symbol: int = 1,
-        initial_phase: float = 0.0,
-        backend: Union[None, str, Backend] = None,
-    ) -> None:
-        self.amplitude = ensure_positive(amplitude, "amplitude")
-        self._samples_per_symbol = ensure_positive_int(samples_per_symbol, "samples_per_symbol")
-        self.initial_phase = float(initial_phase)
-        self.backend = backend
-
-    @property
-    def samples_per_symbol(self) -> int:
-        """Oversampling factor shared by every row."""
-        return self._samples_per_symbol
-
-    def modulate(self, bits: np.ndarray) -> SignalBatch:
-        """Produce one MSK waveform per bit row.
-
-        Output shape is ``(n_trials, n_bits * samples_per_symbol + 1)`` —
-        each row carries the leading reference sample followed by the
-        phase-ramped data samples, exactly like the scalar modulator.
-        """
-        clean = ensure_bit_matrix(bits, "bits")
-        boundary_phases = batch_msk_phase_trajectory(clean, self.initial_phase)
-        if self._samples_per_symbol == 1:
-            phases = boundary_phases
-        else:
-            phases = interpolate_phase_ramp(boundary_phases, self._samples_per_symbol)
-        backend = resolve_backend(self.backend)
-        return SignalBatch(backend.modulate_waveform(phases, self.amplitude))
+from repro.exceptions import ConfigurationError
+from repro.utils.validation import ensure_positive_int
 
 
 class BatchMSKDemodulator:
-    """Differential MSK demodulation (Eq. 1) over a whole signal batch.
+    """Differential MSK demodulation (Eq. 1) of every row of a 2D array."""
 
-    ``backend`` selects the compute backend for the conjugate-product
-    kernel (``None`` resolves the ambient backend at each call).
-    """
-
-    def __init__(
-        self,
-        samples_per_symbol: int = 1,
-        backend: Union[None, str, Backend] = None,
-    ) -> None:
+    def __init__(self, samples_per_symbol: int = 1) -> None:
         self._samples_per_symbol = ensure_positive_int(samples_per_symbol, "samples_per_symbol")
-        self.backend = backend
 
     @property
     def samples_per_symbol(self) -> int:
         """Oversampling factor shared by every row."""
         return self._samples_per_symbol
 
-    def phase_differences(self, batch: BatchLike) -> np.ndarray:
+    def phase_differences(self, samples) -> np.ndarray:
         """Per-symbol wrapped phase differences of every row.
 
         Output shape ``(n_trials, n_symbols - 1)``; rows match the scalar
         demodulator's :meth:`~repro.modulation.msk.MSKDemodulator.phase_differences`.
         """
-        samples = ensure_batch_array(batch, "batch")[:, :: self._samples_per_symbol]
-        if samples.shape[1] < 2:
-            return np.zeros((samples.shape[0], 0), dtype=float)
-        return resolve_backend(self.backend).demodulate_phase_differences(samples)
+        arr = np.asarray(samples, dtype=np.complex128)
+        if arr.ndim != 2:
+            raise ConfigurationError(
+                f"samples must be a 2D (n_trials, n_samples) array, got ndim={arr.ndim}"
+            )
+        # Contiguous like the scalar path's input, so numpy takes the same
+        # elementwise kernels and every row matches it bit for bit.
+        symbols = np.ascontiguousarray(arr)[:, :: self._samples_per_symbol]
+        if symbols.shape[1] < 2:
+            return np.zeros((symbols.shape[0], 0), dtype=float)
+        return np.angle(symbols[:, 1:] * np.conj(symbols[:, :-1]))
 
-    def demodulate(self, batch: BatchLike) -> np.ndarray:
+    def demodulate(self, samples) -> np.ndarray:
         """Decode one bit row per waveform; shape ``(n_trials, n_bits)``."""
-        return (self.phase_differences(batch) >= 0).astype(np.uint8)
+        return (self.phase_differences(samples) >= 0).astype(np.uint8)
 
-    def soft_decisions(self, batch: BatchLike) -> np.ndarray:
+    def soft_decisions(self, samples) -> np.ndarray:
         """Raw phase differences of every row, as soft decision metrics."""
-        return self.phase_differences(batch)
+        return self.phase_differences(samples)

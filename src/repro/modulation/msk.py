@@ -25,9 +25,8 @@ from repro.utils.validation import ensure_bit_array, ensure_positive, ensure_pos
 def interpolate_phase_ramp(boundary_phases: np.ndarray, samples_per_symbol: int) -> np.ndarray:
     """Expand symbol-boundary phases into per-sample phases, vectorized.
 
-    Works along the last axis, so it serves both the scalar modulator
-    (``boundary_phases`` of shape ``(n_bits + 1,)``) and the batched one
-    (``(n_trials, n_bits + 1)``).  The output holds the leading reference
+    Works along the last axis of ``boundary_phases`` (shape
+    ``(n_bits + 1,)`` for one frame).  The output holds the leading reference
     phase followed by ``samples_per_symbol`` linearly interpolated samples
     per symbol and is bit-identical to ``np.linspace`` over each symbol:
     interior samples are computed as ``j * step + start`` (the same

@@ -8,7 +8,6 @@ the wireless channel does to concurrent transmissions.
 """
 
 from repro.signal.samples import ComplexSignal
-from repro.signal.batch import SignalBatch, ensure_batch_array
 from repro.signal.energy import (
     EnergyDetector,
     InterferenceDetector,
@@ -29,14 +28,12 @@ __all__ = [
     "ComplexSignal",
     "EnergyDetector",
     "InterferenceDetector",
-    "SignalBatch",
     "add_signals",
     "average_power",
     "awgn",
     "complex_gaussian_noise",
     "delay_signal",
     "energy_variance",
-    "ensure_batch_array",
     "noise_power_for_snr",
     "normalize_power",
     "overlap_add",

@@ -14,7 +14,6 @@ from repro.sim.mac import MAC_POLICIES, CsmaBackoffMac, CsmaState, ScheduledMac
 from repro.sim.queueing import PacketQueue, QueuedPacket
 from repro.sim.reception import (
     DecodeService,
-    PHY_MODES,
     ReceptionKind,
     ReceptionSession,
     classify_reception,
@@ -39,7 +38,6 @@ __all__ = [
     "Event",
     "EventScheduler",
     "MAC_POLICIES",
-    "PHY_MODES",
     "PacketQueue",
     "PoissonArrivals",
     "QueuedPacket",

@@ -5,8 +5,8 @@ This module ties the :mod:`repro.sim` pieces together into one
 FIFO queues, a pluggable MAC (CSMA with binary exponential backoff, or
 the planner-style TDMA grid) grants channel access, overlapping
 transmissions are resolved through SINR-segment capture rules, and every
-surviving waveform is decoded by the *existing* PHY — aligned
-scalar/batched MSK demodulation for clean and captured frames, the full
+surviving waveform is decoded by the *existing* PHY — aligned MSK
+demodulation for clean and captured frames, the full
 :class:`~repro.anc.pipeline.ReceivePipeline` for ANC collisions.
 
 Three relaying schemes compete on the same arrival sample paths:
@@ -56,7 +56,6 @@ from repro.sim.mac import MAC_POLICIES, CsmaBackoffMac, CsmaState, ScheduledMac
 from repro.sim.queueing import PacketQueue
 from repro.sim.reception import (
     DecodeService,
-    PHY_MODES,
     ReceptionKind,
     ReceptionSession,
     classify_reception,
@@ -115,9 +114,6 @@ class SimParams:
         How long a lone head-of-line packet waits for a coding partner
         (COPE) or a reverse-direction packet (ANC) before it is plainly
         forwarded.
-    phy:
-        ``"scalar"`` or ``"batched"`` decode execution
-        (:data:`repro.sim.reception.PHY_MODES`); bit-identical results.
     guard_samples:
         Guard time appended to scheduled slots.
     """
@@ -135,7 +131,6 @@ class SimParams:
     queue_capacity: int = 8
     capture_threshold_db: float = 10.0
     patience_frames: float = 3.0
-    phy: str = "scalar"
     guard_samples: int = 64
 
     def __post_init__(self) -> None:
@@ -152,10 +147,6 @@ class SimParams:
             raise ConfigurationError(
                 f"unknown traffic model {self.traffic_model!r}; choose from "
                 f"{', '.join(TRAFFIC_MODELS)}"
-            )
-        if self.phy not in PHY_MODES:
-            raise ConfigurationError(
-                f"unknown phy mode {self.phy!r}; choose from {', '.join(PHY_MODES)}"
             )
         if self.arrival_rate <= 0:
             raise ConfigurationError("arrival_rate must be positive")
@@ -275,7 +266,7 @@ class TrafficSimulation:
         self.frame_samples = self.nodes[ALICE].frame_samples
         self.duration_samples = params.sim_duration_frames * self.frame_samples
         self.sched = EventScheduler()
-        self.decoder = DecodeService(phy=params.phy)
+        self.decoder = DecodeService()
         self.report = SimReport(
             params=params,
             duration_samples=self.duration_samples,

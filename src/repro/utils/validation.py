@@ -94,21 +94,6 @@ def ensure_bit_array(bits: Union[Iterable[int], np.ndarray], name: str = "bits")
     return arr.astype(np.uint8)
 
 
-def ensure_bit_matrix(bits, name: str = "bits") -> np.ndarray:
-    """Require a 2D ``(n_trials, n_bits)`` array of 0/1 values.
-
-    The batched PHY kernels (:mod:`repro.modulation.batch`,
-    :meth:`repro.anc.decoder.InterferenceDecoder.decode_batch`) operate on
-    one bit row per trial; this is the 2D counterpart of
-    :func:`ensure_bit_array`.
-    """
-    arr = np.asarray(bits)
-    if arr.ndim != 2:
-        raise ConfigurationError(f"{name} must be a 2D (n_trials, n_bits) array")
-    _require_bit_values(arr, name)
-    return arr.astype(np.uint8)
-
-
 def ensure_complex_array(samples, name: str = "samples") -> np.ndarray:
     """Require a one-dimensional array convertible to complex128."""
     arr = np.asarray(samples)

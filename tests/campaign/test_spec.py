@@ -104,8 +104,10 @@ class TestValidation:
             small_spec(experiment="not-an-experiment")
 
     def test_unknown_config_field(self):
-        with pytest.raises(ConfigurationError, match="unknown config field"):
-            small_spec(axes={"bogus_knob": (1, 2)})
+        # "backend" was a config field once; specs naming it must fail loudly.
+        for field in ("bogus_knob", "backend"):
+            with pytest.raises(ConfigurationError, match=f"unknown config field.*{field}"):
+                small_spec(axes={field: (1, 2)})
 
     def test_base_axis_overlap(self):
         with pytest.raises(ConfigurationError, match="both"):

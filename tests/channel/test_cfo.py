@@ -5,7 +5,6 @@ import pytest
 
 from repro.channel.cfo import CarrierFrequencyOffsetChannel
 from repro.channel.model import ChannelChain
-from repro.signal.batch import SignalBatch
 from repro.signal.samples import ComplexSignal
 
 
@@ -69,24 +68,3 @@ class TestCarrierFrequencyOffsetChannel:
         # The ramp of the advanced channel continues where the first ends.
         first = channel.ramp(101)
         assert later.ramp(1)[0] == pytest.approx(first[100])
-
-
-class TestCarrierFrequencyOffsetBatch:
-    def test_apply_batch_bit_identical_to_rows(self):
-        rng = np.random.default_rng(3)
-        rows = rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))
-        batch = SignalBatch(rows)
-        channel = CarrierFrequencyOffsetChannel(0.04, initial_phase=-0.3)
-        out = channel.apply_batch(batch)
-        for i in range(5):
-            assert np.array_equal(
-                out.samples[i], channel.apply(batch.row(i)).samples
-            )
-
-    def test_apply_batch_zero_offset_is_identity(self):
-        batch = SignalBatch(np.ones((2, 4), dtype=np.complex128))
-        assert CarrierFrequencyOffsetChannel(0.0).apply_batch(batch) is batch
-
-    def test_apply_batch_empty_columns_passthrough(self):
-        batch = SignalBatch(np.zeros((2, 0), dtype=np.complex128))
-        assert CarrierFrequencyOffsetChannel(0.1).apply_batch(batch) is batch

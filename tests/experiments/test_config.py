@@ -113,7 +113,6 @@ class TestSnapshotRoundTrip:
             "chain_redundancy_overhead": 0.1,
             "seed": 7,
             "batch_size": 4,
-            "backend": "float32-fast",
             "impairments": ImpairmentConfig(sender_cfo=0.01),
             "arrival_rate": 0.4,
             "sim_duration": 55.0,
@@ -138,3 +137,9 @@ class TestSnapshotRoundTrip:
     def test_unknown_snapshot_key_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_snapshot({"bogus": 1})
+
+    def test_retired_backend_key_rejected(self):
+        """A stored snapshot that still names a compute backend is refused."""
+        snapshot = {**ExperimentConfig().snapshot(), "backend": "numba"}
+        with pytest.raises(ConfigurationError, match="unknown config field.*backend"):
+            ExperimentConfig.from_snapshot(snapshot)

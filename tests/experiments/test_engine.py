@@ -139,26 +139,29 @@ class TestSerialParallelEquivalence:
 
 
 class TestRunBatched:
-    """Block dispatch must be invisible in results, caching and ordering."""
+    """Block dispatch must be invisible in results, caching and ordering.
+
+    Every case drives :meth:`ExperimentEngine.map` with a ``batch_size``.
+    """
 
     def test_results_identical_at_every_batch_size(self, quick_config):
         reference = ExperimentEngine().map("toy", _draw_trial, quick_config, range(10))
         for batch_size in (1, 3, 4, 10, 99):
-            batched = ExperimentEngine().run_batched(
+            batched = ExperimentEngine().map(
                 "toy", _draw_trial, quick_config, range(10), batch_size=batch_size
             )
             assert batched == reference
 
     def test_parallel_batched_identical_to_serial(self, quick_config):
         serial = ExperimentEngine(workers=1).map("toy", _draw_trial, quick_config, range(8))
-        parallel = ExperimentEngine(workers=2).run_batched(
+        parallel = ExperimentEngine(workers=2).map(
             "toy", _draw_trial, quick_config, range(8), batch_size=3
         )
         assert parallel == serial
 
     def test_constructor_default_batch_size(self, quick_config):
         engine = ExperimentEngine(batch_size=4)
-        results = engine.run_batched("toy", _draw_trial, quick_config, range(6))
+        results = engine.map("toy", _draw_trial, quick_config, range(6))
         assert results == ExperimentEngine().map("toy", _draw_trial, quick_config, range(6))
         assert engine.last_stats.batch_size == 4
 
@@ -170,7 +173,7 @@ class TestRunBatched:
 
     def test_batched_cache_is_per_trial(self, quick_config, tmp_path):
         batched = ExperimentEngine(cache_dir=tmp_path, batch_size=3)
-        results = batched.run_batched("toy", _draw_trial, quick_config, range(7))
+        results = batched.map("toy", _draw_trial, quick_config, range(7))
         assert batched.last_stats.executed_trials == 7
         # A later run at a *different* batch size reuses every trial: the
         # cache layout (and the digest) are independent of batching.
@@ -196,7 +199,7 @@ class TestRunBatched:
         # Module-level picklability is not needed on the serial path.
         engine = ExperimentEngine(cache_dir=tmp_path, batch_size=4)
         with pytest.raises(RuntimeError):
-            engine.run_batched("toy", _fail_on_two, quick_config, range(4))
+            engine.map("toy", _fail_on_two, quick_config, range(4))
         digest = ExperimentEngine.task_digest("toy", _fail_on_two, quick_config)
         cached = sorted(p.name for p in (tmp_path / digest).glob("*.pkl"))
         assert cached == [f"{_key_slug(0)}.pkl", f"{_key_slug(1)}.pkl"]
@@ -419,7 +422,7 @@ class TestSharedMemoryHandoff:
 
     def _run(self, config, *, shared_memory, trial=_weighted_trial):
         engine = ExperimentEngine(workers=2, shared_memory=shared_memory)
-        results = engine.run_batched(
+        results = engine.map(
             "toy", trial, config, range(8),
             params={"weights": self._BIG}, batch_size=2,
         )
@@ -442,7 +445,7 @@ class TestSharedMemoryHandoff:
     def test_segments_unlinked_after_worker_crash(self, quick_config):
         engine = ExperimentEngine(workers=2, shared_memory=True)
         with pytest.raises(RuntimeError, match="exploded"):
-            engine.run_batched(
+            engine.map(
                 "toy", _crashing_weighted_trial, quick_config, range(8),
                 params={"weights": self._BIG}, batch_size=2,
             )
@@ -455,7 +458,7 @@ class TestSharedMemoryHandoff:
         """Below the size threshold the segment overhead isn't worth it."""
         small = np.arange(16, dtype=np.float64)
         engine = ExperimentEngine(workers=2, shared_memory=True)
-        results = engine.run_batched(
+        results = engine.map(
             "toy", _weighted_trial, quick_config, range(8),
             params={"weights": small}, batch_size=2,
         )

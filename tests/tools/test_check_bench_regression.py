@@ -14,7 +14,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from check_bench_regression import find_regressions, load_metrics  # noqa: E402
 
-BASELINE = {"decoder_speedup": 5.0, "modulate_speedup": 3.0, "demodulate_speedup": 2.5}
+BASELINE = {"events_per_kernel": 40.0}
 
 
 class TestFindRegressions:
@@ -22,27 +22,29 @@ class TestFindRegressions:
         assert find_regressions(BASELINE, dict(BASELINE), 0.30) == []
 
     def test_drop_within_tolerance_is_clean(self):
-        fresh = dict(BASELINE, decoder_speedup=5.0 * 0.71)
+        fresh = dict(BASELINE, events_per_kernel=40.0 * 0.71)
         assert find_regressions(BASELINE, fresh, 0.30) == []
 
     def test_drop_beyond_tolerance_is_flagged(self):
-        fresh = dict(BASELINE, decoder_speedup=5.0 * 0.69)
+        fresh = dict(BASELINE, events_per_kernel=40.0 * 0.69)
         findings = find_regressions(BASELINE, fresh, 0.30)
         assert len(findings) == 1
-        assert "decoder_speedup" in findings[0]
+        assert "events_per_kernel" in findings[0]
 
     def test_improvement_is_clean(self):
-        fresh = dict(BASELINE, decoder_speedup=9.0)
+        fresh = dict(BASELINE, events_per_kernel=90.0)
         assert find_regressions(BASELINE, fresh, 0.30) == []
 
     def test_missing_fresh_metric_is_flagged(self):
-        fresh = {k: v for k, v in BASELINE.items() if k != "modulate_speedup"}
-        findings = find_regressions(BASELINE, fresh, 0.30)
-        assert findings == ["modulate_speedup: missing from the fresh measurement"]
+        findings = find_regressions(BASELINE, {}, 0.30)
+        assert findings == ["events_per_kernel: missing from the fresh measurement"]
 
     def test_metric_absent_from_baseline_is_ignored(self):
-        baseline = {"decoder_speedup": 5.0}
-        fresh = dict(BASELINE)
+        assert find_regressions({}, dict(BASELINE), 0.30) == []
+
+    def test_retired_phy_ratios_are_not_gated(self):
+        baseline = dict(BASELINE, decoder_speedup=5.0, modulate_speedup=3.0)
+        fresh = dict(BASELINE, decoder_speedup=1.0)
         assert find_regressions(baseline, fresh, 0.30) == []
 
 
@@ -78,7 +80,7 @@ class TestSimMetric:
 class TestCommandLine:
     def _write(self, tmp_path, name, metrics):
         path = tmp_path / name
-        path.write_text(json.dumps({"benchmark": "phy_batch", "metrics": metrics}))
+        path.write_text(json.dumps({"sim": metrics}))
         return path
 
     def test_exit_zero_when_clean(self, tmp_path):
@@ -96,7 +98,7 @@ class TestCommandLine:
     def test_exit_one_on_regression(self, tmp_path):
         baseline = self._write(tmp_path, "base.json", BASELINE)
         fresh = self._write(
-            tmp_path, "fresh.json", dict(BASELINE, decoder_speedup=1.0)
+            tmp_path, "fresh.json", dict(BASELINE, events_per_kernel=1.0)
         )
         result = subprocess.run(
             [sys.executable, str(GATE), "--baseline", str(baseline), "--fresh", str(fresh)],
@@ -105,14 +107,14 @@ class TestCommandLine:
             check=False,
         )
         assert result.returncode == 1
-        assert "perf regression: decoder_speedup" in result.stdout
+        assert "perf regression: events_per_kernel" in result.stdout
 
     def test_malformed_file_is_a_clean_error(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps({"no": "metrics"}))
+        path.write_text(json.dumps({"no": "sim"}))
         try:
             load_metrics(path)
         except SystemExit as error:
-            assert "metrics" in str(error)
+            assert "'sim'" in str(error)
         else:  # pragma: no cover - the gate must refuse malformed input
-            raise AssertionError("load_metrics accepted a file without metrics")
+            raise AssertionError("load_metrics accepted a file without a sim section")

@@ -1,15 +1,13 @@
 #!/usr/bin/env python
 """Perf-regression gate: compare a fresh BENCH_phy.json against a baseline.
 
-The PHY microbenchmark (``benchmarks/test_microbench_batch.py``) writes
-the ``BENCH_phy.json`` trajectory artifact with the batched decoder's
-headline metrics.  Absolute timings are machine-specific, so the gate
-compares the machine-independent *ratio* metrics — ``decoder_speedup``
-(batched decode throughput over the scalar reference on the same box,
-i.e. the relative decode throughput) plus the modem speedups and the
-sim benchmark's ``events_per_kernel`` — between a freshly measured file
-and the committed baseline.  A fresh ratio more than ``--tolerance``
-(default 30 %) below the baseline fails the gate.
+The sim event-core benchmark (``benchmarks/test_sim_offered_load.py``)
+writes the ``"sim"`` section of the ``BENCH_phy.json`` trajectory
+artifact.  Absolute timings are machine-specific, so the gate compares
+the machine-independent *ratio* ``events_per_kernel`` (simulator events
+per run of the ``perfbench`` calibration kernel timed beside it) between
+a freshly measured file and the committed baseline.  A fresh ratio more
+than ``--tolerance`` (default 30 %) below the baseline fails the gate.
 
 CI copies the committed ``BENCH_phy.json`` aside before running the
 benchmark (the run overwrites it in place), then calls::
@@ -32,39 +30,27 @@ import sys
 from pathlib import Path
 from typing import List
 
-#: Ratio metrics the gate enforces (machine-independent speedups).
-GATED_METRICS = ("decoder_speedup", "modulate_speedup", "demodulate_speedup")
-
-#: Ratio metrics gated inside the optional ``"sim"`` section: the
-#: discrete-event traffic core's events per run of the calibration
-#: kernel (``perfbench/calibrate.py``) timed beside it in the same
-#: process, so the ratio depends on no other benchmark's timing.
-#: Baselines that predate the metric are skipped, so the gate stays
-#: backward-compatible.
-GATED_SIM_METRICS = ("events_per_kernel",)
+#: Ratio metrics gated inside the ``"sim"`` section: the discrete-event
+#: traffic core's events per run of the calibration kernel
+#: (``perfbench/calibrate.py``) timed beside it in the same process, so
+#: the ratio depends on no other benchmark's timing.  A metric missing
+#: from the baseline is skipped; one missing from the fresh file fails.
+GATED_METRICS = ("events_per_kernel",)
 
 
 def load_metrics(path: Path) -> dict:
-    """Read the gated metrics out of one trajectory file.
-
-    Returns one flat dict: the ``metrics`` object plus the ``sim``
-    section's gated ratios (prefixed keys would obscure the report, and
-    the two namespaces never collide).
-    """
+    """Read the gated metrics out of one trajectory file's ``sim`` section."""
     payload = json.loads(path.read_text())
-    metrics = payload.get("metrics")
-    if not isinstance(metrics, dict):
-        raise SystemExit(f"{path}: no 'metrics' object found")
     sim = payload.get("sim")
-    if isinstance(sim, dict):
-        metrics = {**metrics, **{k: sim[k] for k in GATED_SIM_METRICS if k in sim}}
-    return metrics
+    if not isinstance(sim, dict):
+        raise SystemExit(f"{path}: no 'sim' object found")
+    return {k: sim[k] for k in GATED_METRICS if k in sim}
 
 
 def find_regressions(baseline: dict, fresh: dict, tolerance: float) -> List[str]:
     """One finding per gated metric that regressed beyond the tolerance."""
     findings: List[str] = []
-    for metric in GATED_METRICS + GATED_SIM_METRICS:
+    for metric in GATED_METRICS:
         base = baseline.get(metric)
         new = fresh.get(metric)
         if base is None:
@@ -106,7 +92,7 @@ def main(argv: List[str]) -> int:
         print(f"perf regression: {finding}")
     if findings:
         return 1
-    gated = {m: fresh.get(m) for m in GATED_METRICS + GATED_SIM_METRICS if m in fresh}
+    gated = {m: fresh.get(m) for m in GATED_METRICS if m in fresh}
     print(f"perf gate: clean ({gated})")
     return 0
 

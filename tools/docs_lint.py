@@ -7,9 +7,9 @@ Self-contained (stdlib only) so it runs identically in CI and offline:
   file or directory that exists in the repo;
 * every public module, class, function and method in the documented
   packages (``repro.experiments``, ``repro.network``, ``repro.mac``,
-  ``repro.node``, ``repro.results``, ``repro.channel``,
-  ``repro.backend``, ``repro.sim``, ``repro.campaign``) must carry a
-  docstring (a lightweight, dependency-free subset of ``pydocstyle``).
+  ``repro.node``, ``repro.results``, ``repro.channel``, ``repro.sim``,
+  ``repro.campaign``) must carry a docstring (a lightweight,
+  dependency-free subset of ``pydocstyle``).
 
 Exit code 0 when clean; 1 with one line per finding otherwise.
 
@@ -37,7 +37,6 @@ DOCSTRING_PACKAGES = (
     "src/repro/node",
     "src/repro/results",
     "src/repro/channel",
-    "src/repro/backend",
     "src/repro/sim",
     "src/repro/campaign",
 )
