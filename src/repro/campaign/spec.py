@@ -39,7 +39,8 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 
 #: Schema tag of the serialized spec (and the job-digest payload).  Bump
-#: on any change that alters digests, so old stores are never misread.
+#: on any change that could make one digest name a different document, so
+#: old stores are never misread.
 CAMPAIGN_SCHEMA = "anc-repro.campaign/1"
 
 #: Config knobs only the time-domain traffic scenarios consume; axes and
@@ -67,15 +68,18 @@ def job_digest(experiment: str, quick: bool, config: ExperimentConfig) -> str:
     :meth:`~repro.experiments.config.ExperimentConfig.snapshot` forks it,
     and the snapshot's omission rules are audited to be injective by
     :func:`audit_snapshot_roundtrip`, so distinct configs can never share
-    a digest.  The snapshot of the 15-field config keeps one execution
-    knob, ``batch_size``, so changing it forks the campaign digest too —
-    deliberately conservative; the engine's own trial cache still dedupes underneath.
+    a digest.  The one exception is the execution knob ``batch_size``,
+    which never changes a result: it is left out, as in the engine's
+    trial-cache digest, so the same work has one store key whatever
+    batch size computed it.
     """
+    snapshot = dict(config.snapshot())
+    snapshot.pop("batch_size", None)
     payload = {
         "schema": CAMPAIGN_SCHEMA,
         "experiment": experiment,
         "quick": bool(quick),
-        "config": config.snapshot(),
+        "config": snapshot,
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -290,8 +294,9 @@ class CampaignSpec:
             if digest in seen:
                 raise ConfigurationError(
                     f"duplicate grid point: jobs {seen[digest]} and {index} "
-                    f"expand to the same config (digest {digest[:12]}); "
-                    "check the axes for repeated values"
+                    f"expand to the same work (digest {digest[:12]}); "
+                    "check the axes for repeated values and for batch_size, "
+                    "which changes no result"
                 )
             seen[digest] = index
             jobs.append(

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import CRCError, ConfigurationError
-from repro.utils.bits import as_bit_array, bits_from_int, bits_to_int
+from repro.utils.bits import _fold, as_bit_array, bits_from_int
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,19 @@ class _BitwiseCRC:
 
     def verify(self, bits_with_crc) -> bool:
         """Check a bit array whose last ``width`` bits are the CRC."""
-        data = as_bit_array(bits_with_crc)
+        return self._verify(as_bit_array(bits_with_crc))
+
+    def _verify(self, data: np.ndarray) -> bool:
+        """:meth:`verify` of an already canonical bit array."""
         if data.size < self.spec.width:
             return False
-        payload = data[: -self.spec.width]
-        received = bits_to_int(data[-self.spec.width :])
-        return self.compute(payload) == received
+        received = _fold(data[-self.spec.width :])
+        return self.compute(data[: -self.spec.width]) == received
 
     def strip(self, bits_with_crc) -> np.ndarray:
         """Verify and remove the trailing CRC, raising :class:`CRCError` on failure."""
         data = as_bit_array(bits_with_crc)
-        if not self.verify(data):
+        if not self._verify(data):
             raise CRCError(f"{self.spec.name} check failed")
         return data[: -self.spec.width]
 
@@ -123,5 +125,4 @@ def check_and_strip_crc(bits, crc: _BitwiseCRC = CRC16) -> Tuple[np.ndarray, boo
     data = as_bit_array(bits)
     if data.size < crc.spec.width:
         return data, False
-    ok = crc.verify(data)
-    return data[: -crc.spec.width], ok
+    return data[: -crc.spec.width], crc._verify(data)

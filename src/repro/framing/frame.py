@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.coding.crc import CRC16, check_and_strip_crc
+from repro.coding.crc import CRC16
 from repro.exceptions import FramingError, HeaderError
 from repro.framing.header import Header
 from repro.framing.packet import Packet
@@ -192,13 +192,17 @@ class Deframer:
             the leading one (what a backward-decoding receiver sees first).
         """
         arr = as_bit_array(bits)
-        layout = self._layout(arr.size)
+        return self._header(arr, self._layout(arr.size), from_end)
+
+    @staticmethod
+    def _header(arr: np.ndarray, layout: FrameLayout, from_end: bool = False) -> Header:
+        """:meth:`parse_header` of an already canonical frame bit array."""
         if from_end:
             segment = arr[layout.trailing_header_start : layout.trailing_pilot_start]
             segment = segment[::-1]
         else:
             segment = arr[layout.header_start : layout.payload_start]
-        return Header.from_bits(segment)
+        return Header._from_checked(segment)
 
     def parse(self, bits) -> DeframeResult:
         """Parse a full forward-ordered frame bit stream into a packet."""
@@ -208,12 +212,15 @@ class Deframer:
         except FramingError:
             return DeframeResult(packet=None, header=None, payload_crc_ok=False)
         try:
-            header = self.parse_header(arr)
+            header = self._header(arr, layout)
         except HeaderError:
             return DeframeResult(packet=None, header=None, payload_crc_ok=False)
         scrambled = arr[layout.payload_start : layout.trailing_header_start]
+        # The layout always leaves room for the CRC, and the descrambled
+        # bits are canonical, so the CRC is checked without re-validation.
         payload_with_crc = self.scrambler.descramble(scrambled)
-        payload, crc_ok = check_and_strip_crc(payload_with_crc)
+        crc_ok = CRC16._verify(payload_with_crc)
+        payload = payload_with_crc[: -CRC16.spec.width]
         packet = Packet(
             source=header.source,
             destination=header.destination,

@@ -42,8 +42,7 @@ class Packet:
     def __init__(self, source: int, destination: int, sequence: int, payload) -> None:
         if source < 0 or destination < 0 or sequence < 0:
             raise ConfigurationError("packet identifiers must be non-negative")
-        bits = as_bit_array(payload)
-        bits = bits.copy()
+        bits = as_bit_array(payload)  # always a fresh array, never a view
         bits.setflags(write=False)
         object.__setattr__(self, "source", int(source))
         object.__setattr__(self, "destination", int(destination))

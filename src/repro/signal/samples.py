@@ -35,8 +35,7 @@ class ComplexSignal:
     samples: np.ndarray
 
     def __init__(self, samples: Union[np.ndarray, Iterable[complex]]) -> None:
-        arr = ensure_complex_array(samples, "samples")
-        arr = arr.copy()
+        arr = ensure_complex_array(samples, "samples")  # always a fresh copy
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

@@ -54,9 +54,13 @@ def bits_from_int(value: int, width: int) -> np.ndarray:
 
 def bits_to_int(bits: BitsLike) -> int:
     """Decode a most-significant-first bit array into an unsigned integer."""
-    arr = as_bit_array(bits)
+    return _fold(as_bit_array(bits))
+
+
+def _fold(bits: np.ndarray) -> int:
+    """:func:`bits_to_int` of an already canonical bit array (not re-checked)."""
     value = 0
-    for bit in arr.tolist():
+    for bit in bits.tolist():
         value = (value << 1) | bit
     return value
 
@@ -88,8 +92,11 @@ def random_bits(length: int, rng: Optional[np.random.Generator] = None) -> np.nd
 
 def hamming_distance(a: BitsLike, b: BitsLike) -> int:
     """Number of positions at which two equal-length bit arrays differ."""
-    arr_a = as_bit_array(a)
-    arr_b = as_bit_array(b)
+    return _hamming(as_bit_array(a), as_bit_array(b))
+
+
+def _hamming(arr_a: np.ndarray, arr_b: np.ndarray) -> int:
+    """:func:`hamming_distance` of two already canonical bit arrays."""
     if arr_a.size != arr_b.size:
         raise ConfigurationError(
             f"bit arrays must have equal length (got {arr_a.size} and {arr_b.size})"
@@ -102,4 +109,4 @@ def bit_error_rate(reference: BitsLike, received: BitsLike) -> float:
     arr = as_bit_array(reference)
     if arr.size == 0:
         return 0.0
-    return hamming_distance(reference, received) / float(arr.size)
+    return _hamming(arr, as_bit_array(received)) / float(arr.size)

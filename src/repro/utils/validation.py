@@ -95,7 +95,11 @@ def ensure_bit_array(bits: Union[Iterable[int], np.ndarray], name: str = "bits")
 
 
 def ensure_complex_array(samples, name: str = "samples") -> np.ndarray:
-    """Require a one-dimensional array convertible to complex128."""
+    """Require a one-dimensional array convertible to complex128.
+
+    The result is always a new ``complex128`` array, never a view of the
+    input.
+    """
     arr = np.asarray(samples)
     if arr.ndim != 1:
         raise ConfigurationError(f"{name} must be one-dimensional")

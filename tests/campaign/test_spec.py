@@ -202,11 +202,13 @@ class TestDigestInjectivity:
         # The digest must be derived from a schema-tagged payload so a
         # format change can bump the tag and invalidate old stores.
         cfg = ExperimentConfig(runs=1, packets_per_run=2)
+        snapshot = cfg.snapshot()
+        del snapshot["batch_size"]
         payload = {
             "schema": CAMPAIGN_SCHEMA,
             "experiment": "alice-bob",
             "quick": False,
-            "config": cfg.snapshot(),
+            "config": snapshot,
         }
         import hashlib
 
@@ -214,3 +216,14 @@ class TestDigestInjectivity:
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()
         assert job_digest("alice-bob", False, cfg) == expected
+
+    def test_batch_size_does_not_fork_digests(self):
+        # batch_size is an execution knob: the same work has one store key.
+        cfg = ExperimentConfig(runs=1, packets_per_run=2)
+        assert job_digest("alice-bob", False, cfg.with_overrides(batch_size=1)) == job_digest(
+            "alice-bob", False, cfg.with_overrides(batch_size=4)
+        )
+
+    def test_batch_size_axis_is_a_duplicate_grid_point(self):
+        with pytest.raises(ConfigurationError, match="duplicate grid point"):
+            small_spec(axes={"batch_size": (1, 4)}).jobs()

@@ -18,6 +18,13 @@ class TestPacket:
         with pytest.raises(ValueError):
             packet.payload[0] = 0
 
+    def test_source_array_is_not_aliased(self):
+        source = np.array([1, 0, 1], dtype=np.uint8)
+        packet = Packet(1, 2, 3, source)
+        source[:] = 0
+        assert packet.payload.tolist() == [1, 0, 1]
+        assert not np.shares_memory(packet.payload, source)
+
     def test_negative_ids_rejected(self):
         with pytest.raises(ConfigurationError):
             Packet(-1, 2, 3, [1])

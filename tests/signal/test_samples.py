@@ -17,6 +17,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sig.samples[0] = 0
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            np.array([1 + 1j, 2 - 1j, -3j]),
+            np.array([1 + 1j, 2 - 1j, -3j], dtype=np.complex64),
+            np.array([1.0, -2.0, 0.5]),
+        ],
+        ids=["complex128", "complex64", "float64"],
+    )
+    def test_source_array_is_not_aliased(self, source):
+        sig = ComplexSignal(source)
+        expected = source.astype(np.complex128)
+        source[:] = 0
+        assert sig.samples.dtype == np.complex128
+        assert np.array_equal(sig.samples, expected)
+        assert not np.shares_memory(sig.samples, source)
+
     def test_empty(self):
         assert len(ComplexSignal.empty()) == 0
 
